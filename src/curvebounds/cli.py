@@ -25,9 +25,8 @@ from .fileio import (
 from .penner import trace
 from .pfmatrix import (
     BlockTransition,
-    cover_time,
+    NotIrreducibleError,
     full_spread_power,
-    is_irreducible,
     min_positive_diagonal_power,
     primitivity_exponent,
 )
@@ -36,6 +35,7 @@ from .surfaces import (
     SporadicSurfaceError,
     SurfaceSig,
     flm_upper_bound,
+    lower_bound_coefficient,
     punctured_genus2_upper_bound,
     translation_length_lower_bound,
     translation_length_upper_bound,
@@ -71,17 +71,18 @@ def _bounds_row(genus: int, punctures: int) -> dict:
         row["lower"] = frac_str(lower)
         if punctures == 0:
             upper = translation_length_upper_bound(genus)
+            flm = flm_upper_bound(genus)
             k, penner_bound = penner_upper_bound(genus)
             BoundReport(
                 surface=sig,
                 lower=lower,
                 upper_closed=upper,
-                upper_flm=flm_upper_bound(genus),
+                upper_flm=flm,
                 upper_penner=penner_bound,
                 certificate_k=k,
             ).validate()
             row["upper_closed"] = frac_str(upper)
-            row["flm_upper_float64"] = flm_upper_bound(genus)
+            row["flm_upper_float64"] = flm
             row["penner_k"] = k
             row["penner_upper"] = frac_str(penner_bound)
         if genus == 2 and punctures >= 5:
@@ -165,12 +166,17 @@ def run_pf(input_path: str, as_json: bool) -> int:
     if (doc.real_set is None) != (doc.surface is None):
         print('error: "real:" and "surface:" lines must appear together', file=sys.stderr)
         return 2
-    irr = is_irreducible(m)
-    exponent = primitivity_exponent(m)
+    try:
+        q = min_positive_diagonal_power(m)
+    except NotIrreducibleError:
+        q = None
+    irr = q is not None
+    # A positive power forces irreducibility, so skip the search otherwise.
+    exponent = primitivity_exponent(m) if irr else None
     payload: dict = {
         "dim": m.rows,
         "irreducible": irr,
-        "q": min_positive_diagonal_power(m) if irr else None,
+        "q": q,
         "primitivity_exponent": exponent,
     }
     lines = [
@@ -184,16 +190,16 @@ def run_pf(input_path: str, as_json: bool) -> int:
     if doc.real_set is not None:
         try:
             bt = BlockTransition(m, doc.real_set, doc.surface)
-            i = cover_time(bt)
             k = full_spread_power(bt)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        rq = bt.q
+        i = k - 2 * bt.r * rq  # the cover time, as k = 2rq + i
         chi = doc.surface.chi
-        coeff = 162 if doc.surface.punctures == 0 else 18
+        coeff = lower_bound_coefficient(doc.surface)
         k_bound = coeff * chi * chi
         ok = k < k_bound
-        rq = min_positive_diagonal_power(bt.restriction())
         payload["block"] = {
             "r": bt.r,
             "q": rq,

@@ -54,6 +54,19 @@ def parse_frac(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _is_uint(token: str) -> bool:
+    """ASCII digits only: str.isdigit also accepts characters such as "²"
+    that int() rejects."""
+    return token.isascii() and token.isdigit()
+
+
+def _read_utf8(path, error: type[ValueError]) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"byte {exc.start}: file is not UTF-8 text") from None
+
+
 def _data_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -78,7 +91,7 @@ def parse_matrix_text(text: str) -> MatrixDocument:
         raise MatrixFileError("empty matrix file")
     lineno, header = lines[0]
     parts = header.split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(_is_uint(p) for p in parts):
         raise MatrixFileError(f'line {lineno}: expected "rows cols", got {header!r}')
     rows, cols = int(parts[0]), int(parts[1])
     if rows < 1 or cols < 1:
@@ -93,7 +106,7 @@ def parse_matrix_text(text: str) -> MatrixDocument:
         lineno, line = lines[pos]
         pos += 1
         cells = line.split()
-        if not all(c.isdigit() for c in cells):
+        if not all(_is_uint(c) for c in cells):
             raise MatrixFileError(f"line {lineno}: row entries must be nonnegative integers")
         if len(cells) != cols:
             raise MatrixFileError(
@@ -107,7 +120,7 @@ def parse_matrix_text(text: str) -> MatrixDocument:
             if real_set is not None:
                 raise MatrixFileError(f'line {lineno}: duplicate "real:" line')
             items = line[len("real:"):].split()
-            if not items or not all(i.isdigit() for i in items):
+            if not items or not all(_is_uint(i) for i in items):
                 raise MatrixFileError(
                     f'line {lineno}: "real:" needs 0-based indices'
                 )
@@ -116,7 +129,7 @@ def parse_matrix_text(text: str) -> MatrixDocument:
             if surface is not None:
                 raise MatrixFileError(f'line {lineno}: duplicate "surface:" line')
             items = line[len("surface:"):].split()
-            if len(items) != 2 or not all(i.isdigit() for i in items):
+            if len(items) != 2 or not all(_is_uint(i) for i in items):
                 raise MatrixFileError(f'line {lineno}: "surface:" needs "g n"')
             surface = SurfaceSig(int(items[0]), int(items[1]))
         else:
@@ -125,7 +138,7 @@ def parse_matrix_text(text: str) -> MatrixDocument:
 
 
 def load_matrix(path) -> MatrixDocument:
-    return parse_matrix_text(Path(path).read_text())
+    return parse_matrix_text(_read_utf8(path, MatrixFileError))
 
 
 def format_matrix(
@@ -162,7 +175,7 @@ class TrackDocument:
 
 def _parse_end(token: str, lineno: int) -> BranchEnd:
     bits = token.split(":")
-    if len(bits) != 3 or not bits[1].isdigit() or not bits[2].isdigit():
+    if len(bits) != 3 or not _is_uint(bits[1]) or not _is_uint(bits[2]):
         raise TrackFileError(
             f"line {lineno}: endpoint must be switch:side:slot, got {token!r}"
         )
@@ -182,7 +195,7 @@ def parse_track_text(text: str) -> TrackDocument:
         if head == "surface":
             if surface is not None:
                 raise TrackFileError(f"line {lineno}: duplicate surface line")
-            if len(parts) != 3 or not parts[1].isdigit() or not parts[2].isdigit():
+            if len(parts) != 3 or not _is_uint(parts[1]) or not _is_uint(parts[2]):
                 raise TrackFileError(f'line {lineno}: expected "surface g n"')
             surface = SurfaceSig(int(parts[1]), int(parts[2]))
         elif head == "switches":
@@ -204,7 +217,7 @@ def parse_track_text(text: str) -> TrackDocument:
                 Branch(name, (_parse_end(e0, lineno), _parse_end(e1, lineno)), tag)
             )
         elif section == "attach":
-            if len(parts) != 3 or not all(p.isdigit() for p in parts):
+            if len(parts) != 3 or not all(_is_uint(p) for p in parts):
                 raise TrackFileError(
                     f'line {lineno}: expected "cycle genus punctures"'
                 )
@@ -230,7 +243,7 @@ def parse_track_text(text: str) -> TrackDocument:
 
 
 def load_track(path) -> TrackDocument:
-    return parse_track_text(Path(path).read_text())
+    return parse_track_text(_read_utf8(path, TrackFileError))
 
 
 def format_track(

@@ -1,16 +1,16 @@
 """Exact nonnegative integer matrices and Perron-Frobenius structure.
 
-Matrix powers use binary exponentiation over arbitrary-precision ints.
-Reachability questions (irreducibility, shortest cycles, cover times) run
-on the boolean support digraph, stored as one int bitmask per row.
+Every zero-pattern question (irreducibility, shortest cycles, cover times,
+positivity of powers) runs on the boolean support digraph, stored as one
+int bitmask per row; powers of it are taken by repeated squaring.  Only
+block products and the eigenvalue estimate use integer entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .surfaces import SurfaceSig
 
@@ -153,6 +153,18 @@ def _bool_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def _bool_pow(adj: list[int], k: int) -> list[int]:
+    """Support of m^k from the support of m, by binary exponentiation."""
+    result = [1 << i for i in range(len(adj))]
+    while k:
+        if k & 1:
+            result = _bool_mul(result, adj)
+        k >>= 1
+        if k:
+            adj = _bool_mul(adj, adj)
+    return result
+
+
 def _require_square(m: IntMatrix) -> None:
     if not m.is_square:
         raise ValueError(f"square matrix required, got {m.rows}x{m.cols}")
@@ -203,8 +215,12 @@ def min_positive_diagonal_power(m: IntMatrix) -> int:
     """
     if not is_irreducible(m):
         raise NotIrreducibleError("min_positive_diagonal_power needs an irreducible matrix")
-    adj = m.support_rows()
-    n = m.rows
+    return _girth(m.support_rows())
+
+
+def _girth(adj: list[int]) -> int:
+    """Length of the shortest directed cycle of a support digraph that has one."""
+    n = len(adj)
     best = None
     for i in range(n):
         # BFS for the shortest directed cycle through i.
@@ -225,7 +241,7 @@ def min_positive_diagonal_power(m: IntMatrix) -> int:
                 f ^= low
             frontier = nxt & ~seen
             dist += 1
-    assert best is not None  # irreducible digraphs contain cycles
+    assert best is not None  # callers pass irreducible digraphs, which have cycles
     return best
 
 
@@ -237,18 +253,27 @@ def wielandt_bound(dim: int) -> int:
 def primitivity_exponent(m: IntMatrix) -> int | None:
     """Smallest s with m^s entrywise positive, or None when no power is.
 
-    Scans s up to the Wielandt bound dim^2 - 2 dim + 2, which is sharp.
+    A positive power makes the support strongly connected and primitive, so
+    the least one is at most the sharp Wielandt bound W = dim^2 - 2 dim + 2;
+    it also rules out zero rows, so every later power is positive too.  The
+    support is therefore squared until the exponent reaches W: if that power
+    is not all-ones, no power is; otherwise a binary descent over the saved
+    squares finds the largest s' with m^s' not all-ones, and s = s' + 1.
     """
     _require_square(m)
     n = m.rows
     full = (1 << n) - 1
-    adj = m.support_rows()
-    power = adj
-    for s in range(1, wielandt_bound(n) + 1):
-        if all(row == full for row in power):
-            return s
-        power = _bool_mul(power, adj)
-    return None
+    squares = [m.support_rows()]  # squares[j] is the support of m^(2^j)
+    for _ in range((wielandt_bound(n) - 1).bit_length()):
+        squares.append(_bool_mul(squares[-1], squares[-1]))
+    if any(row != full for row in squares.pop()):
+        return None
+    below, power = 0, None  # power is the support of m^below, None for m^0
+    for j in reversed(range(len(squares))):
+        step = squares[j] if power is None else _bool_mul(power, squares[j])
+        if any(row != full for row in step):
+            below, power = below + (1 << j), step
+    return below + 1
 
 
 def product_lower_right(matrices: Sequence[IntMatrix], block: int) -> IntMatrix:
@@ -285,12 +310,14 @@ class BlockTransition:
     Images of branches outside `real_set` never cross a real branch, so
     rows indexed by `real_set` vanish on the complementary columns and the
     restriction to the real indices is a genuine block of every power.
+    `q` is the least power of that block with a positive diagonal entry.
     """
 
     matrix: IntMatrix
     real_set: frozenset[int]
     surface: SurfaceSig
     real_indices: tuple[int, ...] = field(init=False)
+    q: int = field(init=False)
 
     def __post_init__(self) -> None:
         m = self.matrix
@@ -309,8 +336,10 @@ class BlockTransition:
                     raise BlockStructureError(
                         f"image of non-real branch {j} crosses real branch {i}"
                     )
-        if not is_irreducible(self.restriction()):
+        restriction = self.restriction()
+        if not is_irreducible(restriction):
             raise NotIrreducibleError("real-branch block is not irreducible")
+        object.__setattr__(self, "q", _girth(restriction.support_rows()))
         chi = abs(self.surface.chi)
         if self.surface.chi >= 0:
             raise BlockStructureError(f"surface must have chi < 0: {self.surface}")
@@ -374,17 +403,16 @@ def full_spread_power(bt: BlockTransition) -> int:
     crosses every branch of the track.
 
     q is the shortest-cycle power of the real block, i its cover time. The
-    postcondition is verified by an exact big-integer power; failure (possible
-    only for data no folding sequence could produce, e.g. an imprimitive real
-    block) raises NotBHStructureError.
+    postcondition is verified on the support of M^k, which has the zero
+    pattern of the integer power; failure (possible only for data no folding
+    sequence could produce, e.g. an imprimitive real block) raises
+    NotBHStructureError.
     """
-    q = min_positive_diagonal_power(bt.restriction())
-    i = cover_time(bt)
-    k = 2 * bt.r * q + i
-    power = bt.matrix ** k
+    k = 2 * bt.r * bt.q + cover_time(bt)
+    power = _bool_pow(bt.matrix.support_rows(), k)
     for b in range(bt.dim):
         for beta in bt.real_indices:
-            if power.entries[b][beta] == 0:
+            if not (power[b] >> beta) & 1:
                 raise NotBHStructureError(
                     f"not a BH transition structure: (M^{k})[{b}][{beta}] = 0, "
                     "iterated real images do not spread over the track"
@@ -398,17 +426,23 @@ def dominant_eigenvalue_estimate(
     """Power-iteration estimate of the Perron-Frobenius eigenvalue of a
     primitive matrix; returns (estimate, residual) with the residual measured
     in the max norm on the unit-normalized vector.
+
+    The iterates u_t = m^t 1 are exact integers: after T = `iterations`
+    steps the estimate is max u_T / max u_(T-1) and the residual is
+    max |u_(T+1) - estimate u_T| / max u_T, rounded to floats at the end.
     """
     if primitivity_exponent(m) is None:
         raise NotPrimitiveError("power iteration needs a primitive matrix")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    a = np.array(m.entries, dtype=float)
-    v = np.ones(m.rows) / m.rows
-    lam = 0.0
-    for _ in range(iterations):
-        w = a @ v
-        lam = float(np.max(np.abs(w)))
-        v = w / lam
-    residual = float(np.max(np.abs(a @ v - lam * v)))
-    return lam, residual
+
+    def step(u: list[int]) -> list[int]:
+        return [sum(a * x for a, x in zip(row, u)) for row in m.entries]
+
+    prev = [1] * m.rows
+    u = step(prev)
+    for _ in range(iterations - 1):
+        prev, u = u, step(u)
+    lam = Fraction(max(u), max(prev))
+    residual = max(abs(y - lam * x) for x, y in zip(u, step(u))) / max(u)
+    return float(lam), float(residual)

@@ -16,6 +16,7 @@ __all__ = [
     "BoundReport",
     "euler_characteristic",
     "complexity",
+    "lower_bound_coefficient",
     "translation_length_lower_bound",
     "translation_length_upper_bound",
     "flm_upper_bound",
@@ -67,16 +68,20 @@ def complexity(sig: SurfaceSig) -> int:
     return sig.xi
 
 
-def translation_length_lower_bound(sig: SurfaceSig) -> Fraction:
-    """Universal lower bound for the stable translation length of any
-    pseudo-Anosov map on `sig`, as an exact rational.
+def lower_bound_coefficient(sig: SurfaceSig) -> int:
+    """Coefficient c of the spread-time bound c chi^2: 162 for closed
+    surfaces, 18 for punctured ones."""
+    return 162 if sig.punctures == 0 else 18
 
-    Closed surfaces use coefficient 162, punctured ones 18.
+
+def translation_length_lower_bound(sig: SurfaceSig) -> Fraction:
+    """Universal lower bound 1/(c chi^2 + 6|chi|) for the stable translation
+    length of any pseudo-Anosov map on `sig`, as an exact rational, with c
+    from `lower_bound_coefficient`.
     """
     sig.require_non_sporadic()
     chi = sig.chi
-    coeff = 162 if sig.punctures == 0 else 18
-    return Fraction(1, coeff * chi * chi + 6 * abs(chi))
+    return Fraction(1, lower_bound_coefficient(sig) * chi * chi + 6 * abs(chi))
 
 
 def translation_length_upper_bound(genus: int) -> Fraction:

@@ -73,6 +73,40 @@ def brute_exponent(m: IntMatrix, bound: int) -> int | None:
     return None
 
 
+def wielandt_matrix(n: int) -> IntMatrix:
+    """The n-cycle 0 -> 1 -> ... -> n-1 -> 0 plus the chord n-1 -> 1; its
+    primitivity exponent (n-1)^2 + 1 attains the Wielandt bound."""
+    entries = [[0] * n for _ in range(n)]
+    for i in range(n - 1):
+        entries[i][i + 1] = 1
+    entries[n - 1][0] = 1
+    entries[n - 1][1 % n] = 1
+    return IntMatrix(entries)
+
+
+def cyclic_class_matrix(rng: random.Random, n: int, period: int,
+                        density: float = 0.15) -> IntMatrix:
+    """Irreducible matrix whose edges all run from class c to class c+1
+    (mod `period`), vertex v in class v % period, so every cycle length is
+    a multiple of `period` and no power is positive when period >= 2."""
+    entries = [[0] * n for _ in range(n)]
+    for v in range(n - 1):
+        entries[v][v + 1] = 1
+    # v -> v+1 steps one class; n-1 -> n % period closes a cycle on
+    # n % period .. n-1, and each earlier vertex gets an edge back from
+    # the last cycle vertex of the preceding class.
+    w = n % period
+    entries[n - 1][w] = 1
+    for v in range(w):
+        u = max(x for x in range(w, n) if x % period == (v - 1) % period)
+        entries[u][v] = 1
+    for u in range(n):
+        for v in range(n):
+            if v % period == (u + 1) % period and rng.random() < density:
+                entries[u][v] = rng.randint(1, 3)
+    return IntMatrix(entries)
+
+
 def random_block_sequence(rng: random.Random):
     """Sequence of square matrices sharing a lower-left zero block."""
     total = rng.randint(2, 10)
@@ -128,6 +162,45 @@ def synthetic_block_transition(rng: random.Random, sig: SurfaceSig) -> BlockTran
     return BlockTransition(
         IntMatrix(entries), frozenset(range(inf, total)), sig
     )
+
+
+def chain_block_transition(rng: random.Random, core: IntMatrix, depth: int,
+                           sig: SurfaceSig, density: float = 0.1) -> BlockTransition:
+    """Real block `core` in the last rows and columns, fed by `depth`
+    non-real branches: branch b always crosses b+1, and may cross any later
+    branch too."""
+    r = core.rows
+    n = depth + r
+    entries = [[0] * n for _ in range(n)]
+    for i in range(r):
+        for j in range(r):
+            entries[depth + i][depth + j] = core[(i, j)]
+    for b in range(depth):
+        entries[b][b + 1] = rng.randint(1, 2)
+        for j in range(b + 2, n):
+            if rng.random() < density:
+                entries[b][j] = 1
+    return BlockTransition(IntMatrix(entries), frozenset(range(depth, n)), sig)
+
+
+def brute_girth(m: IntMatrix) -> int:
+    """Least s >= 1 with a positive diagonal entry in m^s, by stepwise products."""
+    acc = m
+    s = 1
+    while not any(acc[(i, i)] for i in range(m.rows)):
+        acc = acc @ m
+        s += 1
+    return s
+
+
+def brute_cover_time(bt: BlockTransition) -> int:
+    """Least j with every row of M^j positive in some real column."""
+    acc = IntMatrix.identity(bt.dim)
+    j = 0
+    while not all(any(acc[(b, beta)] for beta in bt.real_set) for b in range(bt.dim)):
+        acc = acc @ bt.matrix
+        j += 1
+    return j
 
 
 # --- tracks -----------------------------------------------------------------

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import curvebounds
 from curvebounds.cli import main, run_bounds
 from curvebounds.fileio import data_path
 
@@ -249,6 +254,31 @@ def test_pf_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# A superscript digit passes str.isdigit() but not int(); the other file is
+# not UTF-8 at all.  Both are unusable input, reported on one line.
+UNUSABLE_BYTES = [
+    ("pf", "2 \u00b2\n1 1\n1 1\n".encode()),
+    ("pf", b"1 1\n\xff\n"),
+    ("track", "surface 2 0\nswitches s\nbranches\nx s:0:\u00b2 s:1:0 plain\n".encode()),
+    ("track", b"surface 2 0\nswitches \xe9\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,content",
+    UNUSABLE_BYTES,
+    ids=["pf-superscript", "pf-non-utf8", "track-superscript", "track-non-utf8"],
+)
+def test_unusable_bytes_exit_2_with_one_line(tmp_path, capsys, command, content):
+    p = tmp_path / "input"
+    p.write_bytes(content)
+    assert main([command, "--input", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+
+
 # --- track ------------------------------------------------------------------
 
 
@@ -337,3 +367,11 @@ def test_track_echo_round_trip(capsys):
     assert len(echo["branches"]) == 12
     names = {b["name"] for b in echo["branches"]}
     assert {"d0", "d1", "d2"} <= names
+
+
+def test_cli_import_does_not_load_numpy():
+    src = Path(curvebounds.__file__).resolve().parents[1]
+    code = "import curvebounds.cli, sys; assert 'numpy' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+    assert result.returncode == 0, result.stderr.decode()

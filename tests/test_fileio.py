@@ -12,6 +12,7 @@ from curvebounds.fileio import (
     format_matrix,
     format_track,
     frac_str,
+    load_matrix,
     load_track,
     parse_frac,
     parse_matrix_text,
@@ -80,6 +81,42 @@ def test_matrix_errors_name_the_line(text, fragment):
     with pytest.raises(MatrixFileError) as exc:
         parse_matrix_text(text)
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "\u00b2 1\n1\n",
+        "1 1\n\u00b2\n",
+        "1 1\n1\nreal: \u00b2\n",
+        "1 1\n1\nsurface: 2 \u00b2\n",
+    ],
+)
+def test_matrix_rejects_non_ascii_digits(text):
+    with pytest.raises(MatrixFileError):
+        parse_matrix_text(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "surface \u00b2 0\n",
+        "surface 2 0\nswitches s\nbranches\nx s:\u00b2:0 s:1:0 plain\n",
+        "surface 2 0\nswitches s\nbranches\nx s:0:0 s:1:0 plain\nattach\n0 1 \u00b2\n",
+    ],
+)
+def test_track_rejects_non_ascii_digits(text):
+    with pytest.raises(TrackFileError):
+        parse_track_text(text)
+
+
+def test_non_utf8_files_are_format_errors(tmp_path):
+    p = tmp_path / "bad"
+    p.write_bytes(b"1 1\n1\n# caf\xe9\n")
+    with pytest.raises(MatrixFileError, match="byte 11: file is not UTF-8 text"):
+        load_matrix(p)
+    with pytest.raises(TrackFileError, match="byte 11: file is not UTF-8 text"):
+        load_track(p)
 
 
 def test_track_round_trip_reference():

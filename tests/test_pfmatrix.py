@@ -24,13 +24,18 @@ from curvebounds.surfaces import SurfaceSig
 
 from helpers import (
     block_product_oracle,
+    brute_cover_time,
     brute_exponent,
+    brute_girth,
     brute_irreducible,
+    chain_block_transition,
+    cyclic_class_matrix,
     random_block_sequence,
     random_irreducible,
     random_matrix,
     rng_for,
     synthetic_block_transition,
+    wielandt_matrix,
 )
 
 
@@ -169,6 +174,33 @@ def test_primitivity_exponent_matches_oracle():
     assert primitive and imprimitive
 
 
+@pytest.mark.parametrize("n", range(2, 41))
+def test_wielandt_matrix_attains_the_bound(n):
+    m = wielandt_matrix(n)
+    assert primitivity_exponent(m) == (n - 1) ** 2 + 1 == wielandt_bound(n)
+    if n <= 10:
+        assert brute_exponent(m, wielandt_bound(n)) == wielandt_bound(n)
+
+
+@pytest.mark.parametrize("period", [2, 3])
+def test_imprimitive_matrices_have_no_exponent(period):
+    rng = rng_for(f"pf-period-{period}")
+    for n in range(period, 31):
+        m = cyclic_class_matrix(rng, n, period)
+        assert is_irreducible(m)
+        assert primitivity_exponent(m) is None
+        if n <= 10:
+            assert brute_exponent(m, wielandt_bound(n)) is None
+
+
+def test_reducible_matrix_without_zero_rows_has_no_exponent():
+    # upper triangular: every row and column is nonzero, no power is positive
+    n = 30
+    m = IntMatrix([[int(j >= i) for j in range(n)] for i in range(n)])
+    assert not is_irreducible(m)
+    assert primitivity_exponent(m) is None
+
+
 # --- block products ---------------------------------------------------------
 
 
@@ -238,6 +270,8 @@ def test_block_transition_accessors():
     assert bt.r == 2 and bt.dim == 3
     assert bt.real_indices == (1, 2)
     assert bt.restriction() == IntMatrix([[1, 1], [1, 1]])
+    assert bt.q == 1
+    assert _bt([[0, 1, 0], [0, 0, 1], [0, 1, 0]], [1, 2]).q == 2
 
 
 def test_cover_time_chain():
@@ -278,6 +312,40 @@ def test_full_spread_power_postcondition():
             for b in range(bt.dim):
                 for beta in bt.real_indices:
                     assert power.entries[b][beta] > 0
+
+
+SIG4 = SurfaceSig(4, 0)  # 3|chi| - 3 = 15 real, 9|chi| = 54 branches
+
+
+@pytest.mark.parametrize("r,depth", [(12, 8), (13, 12), (14, 20)])
+def test_full_spread_power_large_matches_integer_power(r, depth):
+    rng = rng_for(f"pf-spread-large-{r}")
+    bt = chain_block_transition(rng, wielandt_matrix(r), depth, SIG4)
+    assert bt.dim >= 20
+    k = full_spread_power(bt)
+    assert k == 2 * r * brute_girth(bt.restriction()) + brute_cover_time(bt)
+    assert k >= 2 * r * (r - 1) >= 264
+    power = bt.matrix ** k
+    assert all(power[(b, beta)] > 0 for b in range(bt.dim) for beta in bt.real_set)
+
+
+@pytest.mark.parametrize("period", [2, 3])
+def test_full_spread_power_large_imprimitive_names_first_zero(period):
+    """The boolean check reports the first zero of the integer power M^k."""
+    rng = rng_for(f"pf-spread-imprim-{period}")
+    core = cyclic_class_matrix(rng, 12, period, density=0.0)
+    bt = chain_block_transition(rng, core, 10, SIG4)
+    k = 2 * bt.r * brute_girth(bt.restriction()) + brute_cover_time(bt)
+    assert k >= 100
+    power = bt.matrix ** k
+    b, beta = next(
+        (b, beta)
+        for b in range(bt.dim)
+        for beta in bt.real_indices
+        if power[(b, beta)] == 0
+    )
+    with pytest.raises(NotBHStructureError, match=rf"\(M\^{k}\)\[{b}\]\[{beta}\] = 0"):
+        full_spread_power(bt)
 
 
 def test_full_spread_power_imprimitive_restriction_fails():
