@@ -47,6 +47,7 @@ from .traintrack import (
     classify_regions,
     is_recurrent,
     total_cusps,
+    unrouted_branches,
 )
 
 __all__ = ["main", "run_bounds", "run_penner", "run_pf", "run_track"]
@@ -271,8 +272,15 @@ def run_track(input_path: str, as_json: bool) -> int:
         payload["witness"] = {name: frac_str(w) for name, w in sorted(witness.items())}
         lines.append("recurrence: PASS (positive witness measure found)")
     else:
+        # Name one dead branch and the count, not the list: a large track
+        # can have hundreds.
+        dead = unrouted_branches(track)
         payload["witness"] = None
-        lines.append("recurrence: FAIL (no strictly positive measure)")
+        payload["no_route"] = {"count": len(dead), "first": dead[0]}
+        lines.append(
+            f"recurrence: FAIL ({len(dead)} branches on no closed route, "
+            f"first: {dead[0]})"
+        )
 
     counts = branch_count_report(track, sig)
     checks["branch_total"] = counts.total_ok

@@ -60,6 +60,16 @@ def _is_uint(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
+def _ints(tokens: list[str], lineno: int, error: type[ValueError]) -> list[int]:
+    """Convert ASCII digit tokens; int() refuses more digits than the
+    interpreter's conversion limit (4300 by default)."""
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        longest = max(len(t) for t in tokens)
+        raise error(f"line {lineno}: integer of {longest} digits is too long") from None
+
+
 def _read_utf8(path, error: type[ValueError]) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -93,7 +103,7 @@ def parse_matrix_text(text: str) -> MatrixDocument:
     parts = header.split()
     if len(parts) != 2 or not all(_is_uint(p) for p in parts):
         raise MatrixFileError(f'line {lineno}: expected "rows cols", got {header!r}')
-    rows, cols = int(parts[0]), int(parts[1])
+    rows, cols = _ints(parts, lineno, MatrixFileError)
     if rows < 1 or cols < 1:
         raise MatrixFileError(f"line {lineno}: dimensions must be positive")
     entries = []
@@ -112,7 +122,7 @@ def parse_matrix_text(text: str) -> MatrixDocument:
             raise MatrixFileError(
                 f"line {lineno}: expected {cols} entries, got {len(cells)}"
             )
-        entries.append([int(c) for c in cells])
+        entries.append(_ints(cells, lineno, MatrixFileError))
     real_set = None
     surface = None
     for lineno, line in lines[pos:]:
@@ -124,14 +134,14 @@ def parse_matrix_text(text: str) -> MatrixDocument:
                 raise MatrixFileError(
                     f'line {lineno}: "real:" needs 0-based indices'
                 )
-            real_set = frozenset(int(i) for i in items)
+            real_set = frozenset(_ints(items, lineno, MatrixFileError))
         elif line.startswith("surface:"):
             if surface is not None:
                 raise MatrixFileError(f'line {lineno}: duplicate "surface:" line')
             items = line[len("surface:"):].split()
             if len(items) != 2 or not all(_is_uint(i) for i in items):
                 raise MatrixFileError(f'line {lineno}: "surface:" needs "g n"')
-            surface = SurfaceSig(int(items[0]), int(items[1]))
+            surface = SurfaceSig(*_ints(items, lineno, MatrixFileError))
         else:
             raise MatrixFileError(f"line {lineno}: unexpected trailing line {line!r}")
     return MatrixDocument(IntMatrix(entries), real_set, surface)
@@ -179,7 +189,7 @@ def _parse_end(token: str, lineno: int) -> BranchEnd:
         raise TrackFileError(
             f"line {lineno}: endpoint must be switch:side:slot, got {token!r}"
         )
-    return BranchEnd(bits[0], int(bits[1]), int(bits[2]))
+    return BranchEnd(bits[0], *_ints(bits[1:], lineno, TrackFileError))
 
 
 def parse_track_text(text: str) -> TrackDocument:
@@ -197,7 +207,7 @@ def parse_track_text(text: str) -> TrackDocument:
                 raise TrackFileError(f"line {lineno}: duplicate surface line")
             if len(parts) != 3 or not _is_uint(parts[1]) or not _is_uint(parts[2]):
                 raise TrackFileError(f'line {lineno}: expected "surface g n"')
-            surface = SurfaceSig(int(parts[1]), int(parts[2]))
+            surface = SurfaceSig(*_ints(parts[1:], lineno, TrackFileError))
         elif head == "switches":
             section = "switches"
             switches.extend(parts[1:])
@@ -221,10 +231,10 @@ def parse_track_text(text: str) -> TrackDocument:
                 raise TrackFileError(
                     f'line {lineno}: expected "cycle genus punctures"'
                 )
-            idx = int(parts[0])
+            idx, genus, punctures = _ints(parts, lineno, TrackFileError)
             if idx in attach:
                 raise TrackFileError(f"line {lineno}: duplicate attach for cycle {idx}")
-            attach[idx] = (int(parts[1]), int(parts[2]))
+            attach[idx] = (genus, punctures)
             attach_max_line = lineno
         else:
             raise TrackFileError(f"line {lineno}: unexpected line {line!r}")

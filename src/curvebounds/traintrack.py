@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .surfaces import SurfaceSig
 
@@ -36,6 +36,7 @@ __all__ = [
     "check_measure",
     "switch_equations",
     "is_recurrent",
+    "unrouted_branches",
     "boundary_cycles",
     "total_cusps",
     "classify_regions",
@@ -204,90 +205,87 @@ def check_measure(track: TrainTrack, weights: Mapping[str, Fraction]) -> bool:
     return True
 
 
-# --- exact phase-1 simplex for recurrence -----------------------------------
+# --- recurrence by closed smooth routes -------------------------------------
 
 
-def _phase_one(a_rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve A u = b, u >= 0 exactly; returns u or None if infeasible.
+def _dart_cycles(track: TrainTrack) -> tuple[list[list[int]], list[bool]]:
+    """The dart graph and, per dart, whether its strongly connected component
+    has a cycle (iterative Tarjan).  Dart 2b + e travels branch b to its end
+    e; a route continues into any end on the other side of that switch."""
+    succ = [
+        [2 * b2 + 1 - e2 for b2, e2 in track.side_ends(end.switch, 1 - end.side)]
+        for b in track.branches
+        for end in b.ends
+    ]
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    cyclic = [False] * n
+    stack: list[int] = []
+    pending: dict[int, Iterator[int]] = {}
+    for root in range(n):
+        work = [root] if index[root] < 0 else []
+        while work:
+            v = work[-1]
+            if index[v] < 0:
+                index[v] = low[v] = len(pending)
+                pending[v] = iter(succ[v])
+                stack.append(v)
+            for w in pending[v]:
+                if index[w] < 0:
+                    work.append(w)
+                    break
+                low[v] = min(low[v], low[w])  # finished components hold n
+            else:
+                work.pop()
+                if work:
+                    low[work[-1]] = min(low[work[-1]], low[v])
+                if low[v] == index[v]:
+                    members = [stack.pop()]
+                    while members[-1] != v:
+                        members.append(stack.pop())
+                    for w in members:
+                        low[w] = n
+                        cyclic[w] = len(members) > 1 or v in succ[v]
+    return succ, cyclic
 
-    Phase-1 simplex over Fraction with Bland's rule (terminates, no cycling).
-    """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    if m == 0:
-        return [Fraction(0)] * n
-    tableau = []
-    for i in range(m):
-        row = list(a_rows[i])
-        b = rhs[i]
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-        tableau.append(row + [Fraction(int(i == k)) for k in range(m)] + [b])
-    basis = [n + i for i in range(m)]
-    width = n + m
-    obj = [sum(t[j] for t in tableau) for j in range(width + 1)]
-    for j in range(n, width):
-        obj[j] -= 1
-    while True:
-        enter = next((j for j in range(width) if obj[j] > 0), None)
-        if enter is None:
-            break
-        pivot_row = None
-        best = None
-        for i in range(m):
-            t = tableau[i][enter]
-            if t > 0:
-                ratio = tableau[i][width] / t
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[pivot_row]
-                ):
-                    best = ratio
-                    pivot_row = i
-        if pivot_row is None:
-            raise RuntimeError("phase-1 objective unbounded; equations corrupt")
-        piv = tableau[pivot_row][enter]
-        tableau[pivot_row] = [x / piv for x in tableau[pivot_row]]
-        for i in range(m):
-            if i != pivot_row and tableau[i][enter]:
-                f = tableau[i][enter]
-                tableau[i] = [
-                    x - f * y for x, y in zip(tableau[i], tableau[pivot_row])
-                ]
-        if obj[enter]:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, tableau[pivot_row])]
-        basis[pivot_row] = enter
-    if obj[width] != 0:
-        return None
-    u = [Fraction(0)] * n
-    for i, var in enumerate(basis):
-        if var < n:
-            u[var] = tableau[i][width]
-    return u
+
+def unrouted_branches(track: TrainTrack) -> tuple[str, ...]:
+    """Names of the branches on no closed smooth route, in track order."""
+    cyclic = _dart_cycles(track)[1]
+    return tuple(b.name for i, b in enumerate(track.branches) if not cyclic[2 * i])
 
 
 def is_recurrent(track: TrainTrack) -> tuple[bool, dict[str, Fraction] | None]:
-    """Decide whether the track carries a strictly positive measure.
-
-    Feasibility of {switch equalities, every weight >= 1} is solved exactly;
-    on success the witness measure (all weights >= 1) is returned.
-    """
-    names = [b.name for b in track.branches]
-    idx = {name: j for j, name in enumerate(names)}
-    a_rows = []
-    rhs = []
-    for coeff in switch_equations(track):
-        row = [Fraction(0)] * len(names)
-        for name, c in coeff.items():
-            row[idx[name]] = Fraction(c)
-        a_rows.append(row)
-        # substituting w = 1 + u moves the constant to the right side
-        rhs.append(Fraction(-sum(coeff.values())))
-    u = _phase_one(a_rows, rhs)
-    if u is None:
+    """Decide whether the track carries a strictly positive measure: whether
+    every branch lies on a closed smooth route, a dart cycle (Penner-Harer).
+    A reversed route swaps the darts of each branch, so either dart decides.
+    The witness sums, for each branch not yet covered, the counting measure
+    of a shortest dart cycle through it; its weights are integers >= 1."""
+    succ, cyclic = _dart_cycles(track)
+    if not all(cyclic[::2]):
         return False, None
-    return True, {name: 1 + u[idx[name]] for name in names}
+    count = [0] * len(succ)
+    for start in range(0, len(succ), 2):
+        if count[start] or count[start + 1]:
+            continue
+        parent = {start: start}
+        queue = [start]
+        for v in queue:
+            if start in succ[v]:
+                break
+            for w in succ[v]:
+                if w not in parent:
+                    parent[w] = v
+                    queue.append(w)
+        while v != start:
+            count[v] += 1
+            v = parent[v]
+        count[start] += 1
+    return True, {
+        b.name: Fraction(count[2 * i] + count[2 * i + 1])
+        for i, b in enumerate(track.branches)
+    }
 
 
 # --- ribbon boundary traversal ----------------------------------------------

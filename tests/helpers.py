@@ -241,9 +241,9 @@ def _dart_graph(track: TrainTrack):
     return succ
 
 
-def route_recurrent(track: TrainTrack) -> bool:
-    """Oracle: every branch lies on a closed smooth route (cycle in the
-    dart graph), by exhaustive reachability."""
+def route_dead_branches(track: TrainTrack) -> list[str]:
+    """Oracle: names of the branches on no closed smooth route (neither dart
+    on a cycle of the dart graph), by exhaustive reachability."""
     succ = _dart_graph(track)
     on_cycle = set()
     for start in succ:
@@ -258,10 +258,16 @@ def route_recurrent(track: TrainTrack) -> bool:
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
-    return all(
-        (bidx, 0) in on_cycle or (bidx, 1) in on_cycle
-        for bidx in range(track.num_branches)
-    )
+    return [
+        b.name
+        for bidx, b in enumerate(track.branches)
+        if (bidx, 0) not in on_cycle and (bidx, 1) not in on_cycle
+    ]
+
+
+def route_recurrent(track: TrainTrack) -> bool:
+    """Oracle: every branch lies on a closed smooth route."""
+    return not route_dead_branches(track)
 
 
 def some_closed_route(track: TrainTrack) -> list[int] | None:

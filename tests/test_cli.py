@@ -10,7 +10,8 @@ import pytest
 
 import curvebounds
 from curvebounds.cli import main, run_bounds
-from curvebounds.fileio import data_path
+from curvebounds.fileio import data_path, format_track
+from curvebounds.reference import build_spine, spine_attachment
 
 CHAIN_MATRIX = "3 3\n0 1 0\n0 0 1\n0 0 1\nreal: 2\nsurface: 2 0\n"
 
@@ -254,20 +255,25 @@ def test_pf_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-# A superscript digit passes str.isdigit() but not int(); the other file is
-# not UTF-8 at all.  Both are unusable input, reported on one line.
+# A superscript digit passes str.isdigit() but not int(); a run of 4301
+# ASCII digits passes both checks but exceeds int()'s conversion limit; the
+# other file is not UTF-8 at all.  All are unusable input, reported on one
+# line.
 UNUSABLE_BYTES = [
     ("pf", "2 \u00b2\n1 1\n1 1\n".encode()),
     ("pf", b"1 1\n\xff\n"),
     ("track", "surface 2 0\nswitches s\nbranches\nx s:0:\u00b2 s:1:0 plain\n".encode()),
     ("track", b"surface 2 0\nswitches \xe9\n"),
+    ("pf", b"1 1\n" + b"9" * 4301 + b"\n"),
+    ("track", b"surface 2 0\nswitches s\nbranches\nx s:0:" + b"9" * 4301 + b" s:1:0 plain\n"),
 ]
 
 
 @pytest.mark.parametrize(
     "command,content",
     UNUSABLE_BYTES,
-    ids=["pf-superscript", "pf-non-utf8", "track-superscript", "track-non-utf8"],
+    ids=["pf-superscript", "pf-non-utf8", "track-superscript", "track-non-utf8",
+         "pf-overlong", "track-overlong"],
 )
 def test_unusable_bytes_exit_2_with_one_line(tmp_path, capsys, command, content):
     p = tmp_path / "input"
@@ -325,7 +331,28 @@ def test_track_non_recurrent(tmp_path, capsys):
     assert checks["euler"] is True
     assert checks["recurrent"] is False
     assert payload["witness"] is None
+    assert payload["no_route"] == {"count": 1, "first": "loop"}
     assert all(checks[k] for k in ("structure", "branch_total", "real_count", "cusp_count"))
+    assert main(["track", "--input", str(p)]) == 1
+    out = capsys.readouterr().out
+    assert "recurrence: FAIL (1 branches on no closed route, first: loop)\n" in out
+
+
+def test_track_non_recurrent_spine_names_cause_in_bounded_size(tmp_path, capsys):
+    """331 of the 333 branches of the all-zero-corner genus-56 spine are on
+    no closed route; the report gives their count and the first one only."""
+    genus = 56
+    spine = build_spine(genus, (0,) * (4 * genus - 2))
+    p = tmp_path / "spine.track"
+    p.write_text(format_track(spine, spine_attachment(genus)))
+    code, payload = run_json(capsys, ["track", "--input", str(p)])
+    assert code == 1
+    assert payload["checks"]["recurrent"] is False
+    assert payload["witness"] is None
+    assert payload["no_route"] == {"count": 331, "first": "q2"}
+    assert main(["track", "--input", str(p)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "recurrence: FAIL (331 branches on no closed route, first: q2)" in lines
 
 
 def test_track_cusp_budget_failure(tmp_path, capsys):

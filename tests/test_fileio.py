@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvebounds.fileio import (
     MatrixFileError,
@@ -108,6 +109,78 @@ def test_matrix_rejects_non_ascii_digits(text):
 def test_track_rejects_non_ascii_digits(text):
     with pytest.raises(TrackFileError):
         parse_track_text(text)
+
+
+# More digits than int() converts by default (4300): a valid-looking token
+# that must still be rejected as unusable input, not crash the parser.
+LONG = "9" * 4301
+
+
+@pytest.mark.parametrize(
+    "text,lineno",
+    [
+        (f"{LONG} 1\n1\n", 1),
+        (f"1 {LONG}\n1\n", 1),
+        (f"1 1\n{LONG}\n", 2),
+        (f"1 1\n1\nreal: 0 {LONG}\n", 3),
+        (f"1 1\n1\nsurface: {LONG} 0\n", 3),
+        (f"1 1\n1\nsurface: 2 {LONG}\n", 3),
+    ],
+    ids=["rows", "cols", "entry", "real", "surface-genus", "surface-punctures"],
+)
+def test_matrix_rejects_overlong_integers(text, lineno):
+    with pytest.raises(MatrixFileError, match=f"line {lineno}: integer of 4301 digits"):
+        parse_matrix_text(text)
+
+
+TRACK_HEAD = "surface 2 0\nswitches s\nbranches\n"
+
+
+@pytest.mark.parametrize(
+    "text,lineno",
+    [
+        (f"surface {LONG} 0\n", 1),
+        (f"surface 2 {LONG}\n", 1),
+        (TRACK_HEAD + f"x s:{LONG}:0 s:1:0 plain\n", 4),
+        (TRACK_HEAD + f"x s:0:0 s:1:{LONG} plain\n", 4),
+        (TRACK_HEAD + f"x s:0:0 s:1:0 plain\nattach\n{LONG} 0 0\n", 6),
+        (TRACK_HEAD + f"x s:0:0 s:1:0 plain\nattach\n0 {LONG} 0\n", 6),
+        (TRACK_HEAD + f"x s:0:0 s:1:0 plain\nattach\n0 0 {LONG}\n", 6),
+    ],
+    ids=["surface-genus", "surface-punctures", "side", "slot",
+         "attach-cycle", "attach-genus", "attach-punctures"],
+)
+def test_track_rejects_overlong_integers(text, lineno):
+    with pytest.raises(TrackFileError, match=f"line {lineno}: integer of 4301 digits"):
+        parse_track_text(text)
+
+
+# Near-valid files: every numeric field of both formats drawn from short
+# digit runs, runs past the int() limit and arbitrary text; plus arbitrary
+# text on its own.
+_FIELD = st.one_of(
+    st.text(alphabet="0123456789", min_size=1, max_size=3),
+    st.integers(4290, 4400).map(lambda n: "7" * n),
+    st.text(max_size=3),
+)
+_MATRIX = "{} {}\n{} {}\n{} {}\nreal: {}\nsurface: {} {}\n"
+_TRACK = "surface {} {}\nswitches s\nbranches\nx s:{}:{} s:{}:{} plain\nattach\n{} {} {}\n"
+_TEXTS = st.one_of(
+    st.lists(_FIELD, min_size=9, max_size=9).map(lambda f: _MATRIX.format(*f)),
+    st.lists(_FIELD, min_size=9, max_size=9).map(lambda f: _TRACK.format(*f)),
+    st.text(),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_TEXTS)
+def test_any_text_parses_or_raises_a_file_error(text):
+    for parse, error in ((parse_matrix_text, MatrixFileError),
+                         (parse_track_text, TrackFileError)):
+        try:
+            parse(text)
+        except error:
+            pass
 
 
 def test_non_utf8_files_are_format_errors(tmp_path):

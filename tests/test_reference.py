@@ -131,6 +131,20 @@ def test_hexagon_extensions_match_subset_count():
     assert all(is_recurrent(e)[0] for e in exts)
 
 
+def test_genus3_cut_spine_extension_count():
+    """The 10-cusp genus-3 region cut by chords (0,5) and (0,2) into a
+    hexagon, a pentagon and a triangle: every family of non-crossing
+    diagonals in the two gives a recurrent extension, 45 * 11 in all."""
+    spine = build_spine(3, CUSP_CORNERS[3])
+    base = add_diagonals(spine, boundary_cycles(spine), [(0, (0, 5)), (0, (0, 2))])
+    att = RegionAttachment(SurfaceSig(3, 0), ((0, 0),) * 3)
+    rep = classify_regions(base, att)
+    assert sorted(r.label for r in rep.regions) == ["polygon(3)", "polygon(5)", "polygon(6)"]
+    exts = enumerate_diagonal_extensions(base, att)
+    assert len(exts) == 495
+    assert len({frozenset((b.ends, b.tag) for b in e.branches) for e in exts}) == 495
+
+
 def test_reference_track_has_no_proper_extensions():
     track = reference_track(2)
     exts = enumerate_diagonal_extensions(track, reference_attachment(2))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from curvebounds.reference import build_spine
 from curvebounds.surfaces import SurfaceSig
 from curvebounds.traintrack import (
     Branch,
@@ -26,6 +27,7 @@ from curvebounds.traintrack import (
     positive_on_base,
     switch_equations,
     total_cusps,
+    unrouted_branches,
     _chords,
     _crossing,
     _noncrossing_subsets,
@@ -37,6 +39,7 @@ from helpers import (
     random_fold_schedule,
     random_small_track,
     rng_for,
+    route_dead_branches,
     route_recurrent,
     some_closed_route,
 )
@@ -209,6 +212,16 @@ def test_recurrent_barbell():
 def test_dead_branch_not_recurrent():
     assert is_recurrent(dead_branch_track()) == (False, None)
     assert not route_recurrent(dead_branch_track())
+    # Each dart of the stem is a component of its own with a self-loop:
+    # the stem is live and only the loop is dead.
+    assert unrouted_branches(dead_branch_track()) == ("loop",)
+    assert route_dead_branches(dead_branch_track()) == ["loop"]
+
+
+def assert_integer_witness(track: TrainTrack, w) -> None:
+    assert set(w) == {b.name for b in track.branches}
+    assert all(v.denominator == 1 and v >= 1 for v in w.values())
+    assert check_measure(track, w)
 
 
 def test_recurrence_matches_route_oracle():
@@ -218,11 +231,65 @@ def test_recurrence_matches_route_oracle():
         t = random_small_track(rng)
         ok, w = is_recurrent(t)
         assert ok == route_recurrent(t), t
+        assert list(unrouted_branches(t)) == route_dead_branches(t), t
         seen[ok] += 1
         if ok:
-            assert all(v >= 1 for v in w.values())
-            assert check_measure(t, w)
+            assert_integer_witness(t, w)
     assert seen[True] and seen[False]
+
+
+def fan_spine(genus: int, pattern: str) -> TrainTrack:
+    count = 4 * genus - 2
+    corners = tuple(t % 2 for t in range(count)) if pattern == "alt" else (0,) * count
+    return build_spine(genus, corners)
+
+
+@pytest.mark.parametrize(
+    "genus,pattern",
+    [(10, "alt"), (15, "alt"), (20, "alt"), (56, "zero"), (64, "zero")],
+)
+def test_fan_spine_recurrence_matches_route_oracle(genus, pattern):
+    t = fan_spine(genus, pattern)
+    ok, w = is_recurrent(t)
+    assert ok == route_recurrent(t) == (pattern == "alt")
+    assert list(unrouted_branches(t)) == route_dead_branches(t)
+    if ok:
+        assert_integer_witness(t, w)
+    else:
+        assert w is None
+
+
+def test_self_loop_routes():
+    """Each branch runs from side 0 to side 1 of the one switch, so each
+    alone is a closed route (a dart self-loop) and the witness is 1 each."""
+    t = TrainTrack(
+        ("s",),
+        (
+            Branch("a", (end("s", 0, 0), end("s", 1, 0))),
+            Branch("b", (end("s", 0, 1), end("s", 1, 1))),
+        ),
+    )
+    assert is_recurrent(t) == (True, {"a": Fraction(1), "b": Fraction(1)})
+
+
+def test_two_disjoint_live_components():
+    """Two barbells on disjoint switches: the routes of one never reach the
+    other, so each needs its own cycle in the witness."""
+    one = barbell()
+    two = TrainTrack(
+        ("L", "R", "L2", "R2"),
+        one.branches
+        + tuple(
+            Branch(b.name + "2", tuple(end(e.switch + "2", e.side, e.slot) for e in b.ends))
+            for b in one.branches
+        ),
+    )
+    ok, w = is_recurrent(two)
+    assert ok
+    assert_integer_witness(two, w)
+    _, w_one = is_recurrent(one)
+    assert w == {**w_one, **{name + "2": v for name, v in w_one.items()}}
+    assert w_one == {"loopL": 1, "bar": 2, "loopR": 1}
 
 
 def test_counting_measure_of_closed_route_balances():
