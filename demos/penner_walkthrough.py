@@ -9,25 +9,22 @@ distance <= 2 and hence the exact upper bound 2/k.
 Run as:  python3 demos/penner_walkthrough.py
 """
 
-from curvebounds import PennerSystem, certify, k_star, step, trace
-from curvebounds.penner import BaseCurve
+from curvebounds import k_star, trace
 
 GENUS = 3
 
-system = PennerSystem(GENUS)
-print(f"genus {GENUS}: curves {' '.join(str(c) for c in system.curves())}")
-print()
-
-support = frozenset({BaseCurve("a", GENUS)})
-for k in range(3 * GENUS + 1):
-    names = " ".join(sorted(str(c) for c in support))
-    witness = certify(system, support, BaseCurve("a", GENUS)) if k else None
-    note = f"   witness {witness}" if witness else ""
-    print(f"S_{k:<2} = {{{names}}}{note}")
-    support = step(system, support)
-
-print()
 result = trace(GENUS)
+curves = [f"{family}{i}" for family in "abc" for i in range(1, GENUS + 1)]
+print(f"genus {GENUS}: curves {' '.join(curves)}")
+print()
+
+witnesses = dict(result.certificates)
+for k, support in enumerate(result.supports[: 3 * GENUS + 1]):
+    names = " ".join(sorted(str(c) for c in support))
+    note = f"   witness {witnesses[k]}" if k in witnesses else ""
+    print(f"S_{k:<2} = {{{names}}}{note}")
+
+print()
 print(f"best certified iterate: k = {result.best_k}, bound 2/k = {result.bound}")
 print(f"closed-form guarantee:  k* = {k_star(GENUS)}")
 print(f"supports saturate after {len(result.masks) - 1} iterates")

@@ -6,8 +6,6 @@ from .surfaces import (
     BoundReport,
     SporadicSurfaceError,
     SurfaceSig,
-    complexity,
-    euler_characteristic,
     flm_upper_bound,
     lower_bound_from_spread_time,
     punctured_genus2_upper_bound,
@@ -34,15 +32,10 @@ from .pfmatrix import (
 from .penner import (
     BaseCurve,
     NoCertificateError,
-    PennerSystem,
     TraceResult,
-    certify,
     k_star,
     penner_upper_bound,
-    rotate,
-    step,
     trace,
-    twist_support,
 )
 from .traintrack import (
     Branch,
@@ -86,7 +79,6 @@ from .fileio import (
     frac_str,
     load_matrix,
     load_track,
-    parse_frac,
 )
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from .fileio import (
     load_track,
     track_to_json,
 )
-from .penner import trace
+from .penner import penner_upper_bound, trace
 from .pfmatrix import (
     BlockTransition,
     NotIrreducibleError,
@@ -40,7 +40,6 @@ from .surfaces import (
     translation_length_lower_bound,
     translation_length_upper_bound,
 )
-from .penner import penner_upper_bound
 from .traintrack import (
     TrackStructureError,
     branch_count_report,

@@ -6,7 +6,8 @@ indices) and "surface: g n".  Track files: a "surface g n" line, a
 "switches" section, a "branches" section (one branch per line: name, two
 switch:side:slot endpoints, tag) and an "attach" section giving (genus,
 punctures) per boundary cycle.  Blank lines and lines starting with "#"
-are ignored everywhere.
+are ignored everywhere.  Numbers are ASCII digits; a genus or puncture
+count has at most SURFACE_DIGITS of them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "MatrixFileError",
     "TrackFileError",
     "frac_str",
-    "parse_frac",
     "MatrixDocument",
     "parse_matrix_text",
     "load_matrix",
@@ -50,10 +50,6 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_frac(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _is_uint(token: str) -> bool:
     """ASCII digits only: str.isdigit also accepts characters such as "²"
     that int() rejects."""
@@ -68,6 +64,22 @@ def _ints(tokens: list[str], lineno: int, error: type[ValueError]) -> list[int]:
     except ValueError:
         longest = max(len(t) for t in tokens)
         raise error(f"line {lineno}: integer of {longest} digits is too long") from None
+
+
+# Genus and punctures of a surface or region have at most this many digits,
+# so every bound derived from them (162 chi^2 has about twice as many) still
+# converts to text under the interpreter's 4300-digit limit.
+SURFACE_DIGITS = 2000
+
+
+def _surface_ints(tokens: list[str], lineno: int, error: type[ValueError]) -> list[int]:
+    longest = max(len(t) for t in tokens)
+    if longest > SURFACE_DIGITS:
+        raise error(
+            f"line {lineno}: integer of {longest} digits is too long "
+            f"for a surface (at most {SURFACE_DIGITS})"
+        )
+    return _ints(tokens, lineno, error)
 
 
 def _read_utf8(path, error: type[ValueError]) -> str:
@@ -141,7 +153,7 @@ def parse_matrix_text(text: str) -> MatrixDocument:
             items = line[len("surface:"):].split()
             if len(items) != 2 or not all(_is_uint(i) for i in items):
                 raise MatrixFileError(f'line {lineno}: "surface:" needs "g n"')
-            surface = SurfaceSig(*_ints(items, lineno, MatrixFileError))
+            surface = SurfaceSig(*_surface_ints(items, lineno, MatrixFileError))
         else:
             raise MatrixFileError(f"line {lineno}: unexpected trailing line {line!r}")
     return MatrixDocument(IntMatrix(entries), real_set, surface)
@@ -207,7 +219,7 @@ def parse_track_text(text: str) -> TrackDocument:
                 raise TrackFileError(f"line {lineno}: duplicate surface line")
             if len(parts) != 3 or not _is_uint(parts[1]) or not _is_uint(parts[2]):
                 raise TrackFileError(f'line {lineno}: expected "surface g n"')
-            surface = SurfaceSig(*_ints(parts[1:], lineno, TrackFileError))
+            surface = SurfaceSig(*_surface_ints(parts[1:], lineno, TrackFileError))
         elif head == "switches":
             section = "switches"
             switches.extend(parts[1:])
@@ -231,7 +243,8 @@ def parse_track_text(text: str) -> TrackDocument:
                 raise TrackFileError(
                     f'line {lineno}: expected "cycle genus punctures"'
                 )
-            idx, genus, punctures = _ints(parts, lineno, TrackFileError)
+            (idx,) = _ints(parts[:1], lineno, TrackFileError)
+            genus, punctures = _surface_ints(parts[1:], lineno, TrackFileError)
             if idx in attach:
                 raise TrackFileError(f"line {lineno}: duplicate attach for cycle {idx}")
             attach[idx] = (genus, punctures)

@@ -1,12 +1,16 @@
 """Support propagation for the genus-g Penner-style map.
 
-The map is a cyclic rotation composed with three Dehn twists along the
-index-1 curves of a 3g-curve chain system.  Tracking which curves can meet
-the image of a starting curve after k iterates gives distance-2 certificates
-in the curve graph and hence exact upper bounds 2/k.
+The chain system has 3g curves a_1..a_g, b_1..b_g, c_1..c_g with the 0/1
+intersection pattern  a_j-b_j,  c_j-b_j,  c_j-b_{j-1}  (indices mod g, so
+b_0 means b_g); all other pairs are disjoint.  The map is a cyclic
+rotation composed with three Dehn twists along the index-1 curves.
+Tracking which curves can meet the image of a starting curve after k
+iterates gives distance-2 certificates in the curve graph and hence exact
+upper bounds 2/k.
 
-The inner trace loop runs on int bitmasks (one bit per curve); the public
-set-based operations are independent and are cross-checked in the tests.
+The trace runs on int bitmasks, one bit per curve: family f (a, b, c =
+0, 1, 2) and index i give bit f*g + i - 1.  The test suite cross-checks it
+against an independent set-based model of the same system.
 """
 
 from __future__ import annotations
@@ -18,14 +22,8 @@ from typing import NamedTuple
 
 __all__ = [
     "BaseCurve",
-    "PennerSystem",
-    "SupportSet",
     "TraceResult",
     "NoCertificateError",
-    "twist_support",
-    "rotate",
-    "step",
-    "certify",
     "trace",
     "k_star",
     "penner_upper_bound",
@@ -45,113 +43,10 @@ class BaseCurve(NamedTuple):
     def __str__(self) -> str:
         return f"{self.family}{self.index}"
 
-    @classmethod
-    def parse(cls, text: str) -> "BaseCurve":
-        fam, idx = text[:1], text[1:]
-        if fam not in FAMILIES or not idx.isdigit() or int(idx) < 1:
-            raise ValueError(f"bad curve label {text!r}")
-        return cls(fam, int(idx))
-
-
-SupportSet = frozenset  # of BaseCurve
-
 
 @lru_cache(maxsize=None)
 def _curve(family: str, index: int) -> BaseCurve:
     return BaseCurve(family, index)
-
-
-@dataclass(frozen=True)
-class PennerSystem:
-    """Chain system of 3g curves a_1..a_g, b_1..b_g, c_1..c_g with the 0/1
-    intersection pattern  a_j-b_j,  c_j-b_j,  c_j-b_{j-1}  (indices mod g,
-    so b_0 means b_g); all other pairs are disjoint.
-    """
-
-    genus: int
-
-    def __post_init__(self) -> None:
-        if self.genus < 2:
-            raise ValueError(f"chain system needs genus >= 2, got {self.genus}")
-
-    def curves(self) -> tuple[BaseCurve, ...]:
-        g = self.genus
-        return tuple(
-            _curve(f, i) for f in FAMILIES for i in range(1, g + 1)
-        )
-
-    def _check(self, c: BaseCurve) -> None:
-        if c.family not in FAMILIES or not 1 <= c.index <= self.genus:
-            raise ValueError(f"curve {c} outside genus-{self.genus} system")
-
-    def intersect(self, x: BaseCurve, y: BaseCurve) -> int:
-        self._check(x)
-        self._check(y)
-        if x.family > y.family:
-            x, y = y, x
-        g = self.genus
-        if (x.family, y.family) == ("a", "b"):
-            return int(x.index == y.index)
-        if (x.family, y.family) == ("b", "c"):
-            # c_j meets b_j and b_{j-1}
-            return int(y.index == x.index or (y.index - 1 - (x.index - 1)) % g == 1)
-        return 0
-
-    def neighbors(self, c: BaseCurve) -> frozenset:
-        self._check(c)
-        g = self.genus
-        i = c.index
-        if c.family == "a":
-            return frozenset({_curve("b", i)})
-        if c.family == "b":
-            return frozenset(
-                {_curve("a", i), _curve("c", i), _curve("c", i % g + 1)}
-            )
-        # c-family: b_i and b_{i-1} with wraparound
-        return frozenset({_curve("b", i), _curve("b", (i - 2) % g + 1)})
-
-
-def twist_support(system: PennerSystem, support: SupportSet, alpha: BaseCurve) -> SupportSet:
-    """Support after twisting along alpha: alpha joins when something in the
-    support already meets it."""
-    system._check(alpha)
-    if any(system.intersect(x, alpha) for x in support):
-        return frozenset(support | {alpha})
-    return frozenset(support)
-
-
-def rotate(system: PennerSystem, support: SupportSet) -> SupportSet:
-    """Index rotation j -> j-1 (1 wraps to g) applied to every curve."""
-    g = system.genus
-    return frozenset(
-        _curve(c.family, g if c.index == 1 else c.index - 1) for c in support
-    )
-
-
-def step(system: PennerSystem, support: SupportSet) -> SupportSet:
-    """One iterate: twists along a_1, then b_1, then c_1, then the rotation."""
-    s = twist_support(system, support, _curve("a", 1))
-    s = twist_support(system, s, _curve("b", 1))
-    s = twist_support(system, s, _curve("c", 1))
-    return rotate(system, s)
-
-
-def certify(
-    system: PennerSystem, support: SupportSet, start: BaseCurve
-) -> BaseCurve | None:
-    """First curve (a-family first, then b, then c, by index) disjoint from
-    `start` and from everything in `support`, or None.
-
-    Such a witness pins the curve-graph distance between `start` and any
-    curve inside the support to at most 2.
-    """
-    system._check(start)
-    for w in system.curves():
-        if w in support or system.intersect(w, start):
-            continue
-        if all(not system.intersect(w, x) for x in support):
-            return w
-    return None
 
 
 def k_star(genus: int) -> int:
@@ -198,8 +93,9 @@ def trace(genus: int, cap: int | None = None) -> TraceResult:
     Stops at `cap` (default 3g^2) or as soon as the support has saturated to
     the full system and repeats.
     """
-    system = PennerSystem(genus)
     g = genus
+    if g < 2:
+        raise ValueError(f"chain system needs genus >= 2, got {g}")
     if cap is None:
         cap = 3 * g * g
     if cap < 1:
@@ -213,14 +109,12 @@ def trace(genus: int, cap: int | None = None) -> TraceResult:
     def bit(fam: int, idx: int) -> int:
         return 1 << (fam * g + idx - 1)
 
-    def nbr_mask(c: BaseCurve) -> int:
-        m = 0
-        for n in system.neighbors(c):
-            m |= bit(FAMILIES.index(n.family), n.index)
-        return m
-
-    twist_curves = [
-        (bit(f, 1), nbr_mask(_curve(FAMILIES[f], 1))) for f in range(3)
+    a1, b1, c1 = bit(0, 1), bit(1, 1), bit(2, 1)
+    # Each twist curve, in twist order, with its closed neighborhood and the
+    # curves it meets:  a_1-b_1,  b_1-{a_1, c_1, c_2},  c_1-{b_1, b_g}.
+    closed = [
+        (cbit | nmask, cbit, nmask)
+        for cbit, nmask in ((a1, b1), (b1, a1 | c1 | bit(2, 2)), (c1, b1 | bit(1, g)))
     ]
     start_bit = bit(0, g)
     # A witness at step k is any curve outside the closed neighborhood of
@@ -229,11 +123,8 @@ def trace(genus: int, cap: int | None = None) -> TraceResult:
     # index rotation, so `blocked` evolves by the same bit rotation as the
     # support and only grows when a twist joins.  The least available bit
     # is automatically the a-family-first, lowest-index witness.
-    closed = [
-        (cbit | nmask, cbit, nmask) for cbit, nmask in twist_curves
-    ]
     not_bg = full & ~bit(1, g)
-    blocked = start_bit | nbr_mask(_curve("a", g))
+    blocked = start_bit | bit(1, g)  # a_g meets only b_g
 
     s = start_bit
     masks = [s]

@@ -14,8 +14,6 @@ __all__ = [
     "SporadicSurfaceError",
     "SurfaceSig",
     "BoundReport",
-    "euler_characteristic",
-    "complexity",
     "lower_bound_coefficient",
     "translation_length_lower_bound",
     "translation_length_upper_bound",
@@ -58,14 +56,6 @@ class SurfaceSig:
             raise SporadicSurfaceError(
                 f"sporadic surface (3g-3+n = {self.xi} < 2): {self}"
             )
-
-
-def euler_characteristic(sig: SurfaceSig) -> int:
-    return sig.chi
-
-
-def complexity(sig: SurfaceSig) -> int:
-    return sig.xi
 
 
 def lower_bound_coefficient(sig: SurfaceSig) -> int:

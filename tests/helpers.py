@@ -8,8 +8,12 @@ from __future__ import annotations
 
 import os
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
+from curvebounds.penner import BaseCurve
 from curvebounds.pfmatrix import IntMatrix, is_irreducible, primitivity_exponent
 from curvebounds.pfmatrix import BlockTransition
 from curvebounds.surfaces import SurfaceSig
@@ -294,6 +298,129 @@ def counting_measure(track: TrainTrack, route: list[int]) -> dict[str, Fraction]
     return weights
 
 
+# --- Penner chain system ----------------------------------------------------
+# A set-based model of the system that `curvebounds.penner.trace` runs on
+# bitmasks, written from the intersection pattern alone; only the BaseCurve
+# data type is shared with the library.
+
+FAMILIES = ("a", "b", "c")
+
+
+def parse_curve(text: str) -> BaseCurve:
+    fam, idx = text[:1], text[1:]
+    if fam not in FAMILIES or not idx.isdigit() or int(idx) < 1:
+        raise ValueError(f"bad curve label {text!r}")
+    return BaseCurve(fam, int(idx))
+
+
+def curves(*texts: str) -> frozenset:
+    return frozenset(parse_curve(t) for t in texts)
+
+
+@dataclass(frozen=True)
+class PennerSystem:
+    """Chain system of 3g curves a_1..a_g, b_1..b_g, c_1..c_g with the 0/1
+    intersection pattern  a_j-b_j,  c_j-b_j,  c_j-b_{j-1}  (indices mod g,
+    so b_0 means b_g); all other pairs are disjoint.
+    """
+
+    genus: int
+
+    def __post_init__(self) -> None:
+        if self.genus < 2:
+            raise ValueError(f"chain system needs genus >= 2, got {self.genus}")
+
+    def curves(self) -> tuple[BaseCurve, ...]:
+        return tuple(
+            BaseCurve(f, i) for f in FAMILIES for i in range(1, self.genus + 1)
+        )
+
+    def _check(self, c: BaseCurve) -> None:
+        if c.family not in FAMILIES or not 1 <= c.index <= self.genus:
+            raise ValueError(f"curve {c} outside genus-{self.genus} system")
+
+    def intersect(self, x: BaseCurve, y: BaseCurve) -> int:
+        self._check(x)
+        self._check(y)
+        if x.family > y.family:
+            x, y = y, x
+        g = self.genus
+        if (x.family, y.family) == ("a", "b"):
+            return int(x.index == y.index)
+        if (x.family, y.family) == ("b", "c"):
+            # c_j meets b_j and b_{j-1}
+            return int(y.index == x.index or (y.index - x.index) % g == 1)
+        return 0
+
+    def neighbors(self, c: BaseCurve) -> frozenset:
+        self._check(c)
+        g = self.genus
+        i = c.index
+        if c.family == "a":
+            return frozenset({BaseCurve("b", i)})
+        if c.family == "b":
+            return frozenset({BaseCurve("a", i), BaseCurve("c", i), BaseCurve("c", i % g + 1)})
+        # c-family: b_i and b_{i-1} with wraparound
+        return frozenset({BaseCurve("b", i), BaseCurve("b", (i - 2) % g + 1)})
+
+
+def twist_support(system: PennerSystem, support: frozenset, alpha: BaseCurve) -> frozenset:
+    """Support after twisting along alpha: alpha joins when something in the
+    support already meets it."""
+    system._check(alpha)
+    if any(system.intersect(x, alpha) for x in support):
+        return frozenset(support | {alpha})
+    return frozenset(support)
+
+
+def rotate(system: PennerSystem, support: frozenset) -> frozenset:
+    """Index rotation j -> j-1 (1 wraps to g) applied to every curve."""
+    g = system.genus
+    return frozenset(
+        BaseCurve(c.family, g if c.index == 1 else c.index - 1) for c in support
+    )
+
+
+def step(system: PennerSystem, support: frozenset) -> frozenset:
+    """One iterate: twists along a_1, then b_1, then c_1, then the rotation."""
+    s = twist_support(system, support, BaseCurve("a", 1))
+    s = twist_support(system, s, BaseCurve("b", 1))
+    s = twist_support(system, s, BaseCurve("c", 1))
+    return rotate(system, s)
+
+
+def certify(system: PennerSystem, support: frozenset, start: BaseCurve) -> BaseCurve | None:
+    """First curve (a-family first, then b, then c, by index) disjoint from
+    `start` and from everything in `support`, or None."""
+    system._check(start)
+    for w in system.curves():
+        if w in support or system.intersect(w, start):
+            continue
+        if all(not system.intersect(w, x) for x in support):
+            return w
+    return None
+
+
+def oracle_trace(genus: int, cap: int | None = None):
+    """Supports S_0..S_K and certificates (k, witness) for k >= 1 from the
+    set model, with the library's stopping rule: `cap` iterates (default
+    3g^2) or the step after the support first repeats the full system."""
+    system = PennerSystem(genus)
+    full = frozenset(system.curves())
+    start = BaseCurve("a", genus)
+    cap = 3 * genus * genus if cap is None else cap
+    supports = [frozenset({start})]
+    certificates = []
+    for k in range(1, cap + 1):
+        supports.append(step(system, supports[-1]))
+        w = certify(system, supports[-1], start)
+        if w is not None:
+            certificates.append((k, w))
+        if supports[-1] == supports[-2] == full:
+            break
+    return tuple(supports), tuple(certificates)
+
+
 # --- polygon chords ---------------------------------------------------------
 
 
@@ -347,3 +474,32 @@ def random_fold_schedule(rng: random.Random, size: int):
         if not ok:
             break
     return cusps, cusp_map, folded, ok
+
+
+# --- fuzzing strategies -----------------------------------------------------
+
+
+def numeric_field(min_digits: int, max_digits: int):
+    """A numeric field: a short digit run, a run of min_digits..max_digits
+    digits, or arbitrary short text."""
+    return st.one_of(
+        st.text(alphabet="0123456789", min_size=1, max_size=3),
+        st.integers(min_digits, max_digits).map(lambda n: "7" * n),
+        st.text(max_size=3),
+    )
+
+
+MATRIX_TEMPLATE = "{} {}\n{} {}\n{} {}\nreal: {}\nsurface: {} {}\n"
+TRACK_TEMPLATE = (
+    "surface {} {}\nswitches s\nbranches\nx s:{}:{} s:{}:{} plain\nattach\n{} {} {}\n"
+)
+
+
+def near_valid_texts(field):
+    """Matrix and track files with every numeric field drawn from `field`,
+    plus arbitrary text."""
+    return st.one_of(
+        st.lists(field, min_size=9, max_size=9).map(lambda f: MATRIX_TEMPLATE.format(*f)),
+        st.lists(field, min_size=9, max_size=9).map(lambda f: TRACK_TEMPLATE.format(*f)),
+        st.text(),
+    )

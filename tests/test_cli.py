@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,11 +9,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import curvebounds
 from curvebounds.cli import main, run_bounds
 from curvebounds.fileio import data_path, format_track
 from curvebounds.reference import build_spine, spine_attachment
+
+from helpers import near_valid_texts, numeric_field
 
 CHAIN_MATRIX = "3 3\n0 1 0\n0 0 1\n0 0 1\nreal: 2\nsurface: 2 0\n"
 
@@ -257,8 +262,10 @@ def test_pf_missing_file(capsys):
 
 # A superscript digit passes str.isdigit() but not int(); a run of 4301
 # ASCII digits passes both checks but exceeds int()'s conversion limit; the
-# other file is not UTF-8 at all.  All are unusable input, reported on one
-# line.
+# other file is not UTF-8 at all.  A surface genus of 4000 digits converts,
+# but 162 chi^2 then has about 8000 and could not be printed; 4300 digits
+# break 9|chi| in `track` the same way, and so do region data.  All are
+# unusable input, reported on one line.
 UNUSABLE_BYTES = [
     ("pf", "2 \u00b2\n1 1\n1 1\n".encode()),
     ("pf", b"1 1\n\xff\n"),
@@ -266,6 +273,9 @@ UNUSABLE_BYTES = [
     ("track", b"surface 2 0\nswitches \xe9\n"),
     ("pf", b"1 1\n" + b"9" * 4301 + b"\n"),
     ("track", b"surface 2 0\nswitches s\nbranches\nx s:0:" + b"9" * 4301 + b" s:1:0 plain\n"),
+    ("pf", b"1 1\n1\nreal: 0\nsurface: " + b"9" * 4000 + b" 0\n"),
+    ("track", BARBELL.replace("surface 2 0", "surface " + "9" * 4300 + " 0").encode()),
+    ("track", (BARBELL + "0 " + "9" * 4300 + " 0\n1 1 0\n2 0 0\n").encode()),
 ]
 
 
@@ -273,7 +283,8 @@ UNUSABLE_BYTES = [
     "command,content",
     UNUSABLE_BYTES,
     ids=["pf-superscript", "pf-non-utf8", "track-superscript", "track-non-utf8",
-         "pf-overlong", "track-overlong"],
+         "pf-overlong", "track-overlong", "pf-huge-surface", "track-huge-surface",
+         "track-huge-region"],
 )
 def test_unusable_bytes_exit_2_with_one_line(tmp_path, capsys, command, content):
     p = tmp_path / "input"
@@ -283,6 +294,39 @@ def test_unusable_bytes_exit_2_with_one_line(tmp_path, capsys, command, content)
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert captured.err.count("\n") == 1
+
+
+# Files that get past the parser: the chain matrix and the barbell track with
+# their surface (and region) numbers fuzzed, including runs of 1900-4300
+# digits on both sides of the 2000-digit surface limit.
+CHAIN_SURFACE = CHAIN_MATRIX.replace("surface: 2 0", "surface: {} {}")
+BARBELL_SURFACE = BARBELL.replace("surface 2 0", "surface {} {}") + "0 {} {}\n1 {} {}\n2 {} {}\n"
+FUZZ_FILES = st.one_of(
+    st.binary(),
+    near_valid_texts(numeric_field(4290, 4400)).map(str.encode),
+    st.lists(numeric_field(1900, 4300), min_size=2, max_size=2).map(
+        lambda f: CHAIN_SURFACE.format(*f).encode()),
+    st.lists(numeric_field(1900, 4300), min_size=8, max_size=8).map(
+        lambda f: BARBELL_SURFACE.format(*f).encode()),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(command=st.sampled_from(["pf", "track"]), content=FUZZ_FILES)
+@example(command="pf", content=CHAIN_SURFACE.format("9" * 2000, "9" * 2000).encode())
+@example(command="pf", content=CHAIN_SURFACE.format("9" * 2001, "0").encode())
+@example(command="track", content=BARBELL_SURFACE.format(*["9" * 2000] * 8).encode())
+@example(command="track", content=BARBELL_SURFACE.format("2", "0", "1", "0", "1", "0", "0", "0").encode())
+def test_main_on_any_bytes_exits_0_1_or_2(tmp_path_factory, command, content):
+    p = tmp_path_factory.getbasetemp() / "fuzz.input"
+    p.write_bytes(content)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--input", str(p)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
 
 
 # --- track ------------------------------------------------------------------

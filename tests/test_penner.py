@@ -4,26 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from curvebounds.penner import (
-    BaseCurve,
-    PennerSystem,
-    certify,
-    k_star,
-    penner_upper_bound,
-    rotate,
-    step,
-    trace,
-    twist_support,
-)
+from curvebounds.penner import BaseCurve, k_star, penner_upper_bound, trace
 from curvebounds.surfaces import translation_length_upper_bound
 
-
-def curve(text: str) -> BaseCurve:
-    return BaseCurve.parse(text)
-
-
-def curves(*texts: str) -> frozenset:
-    return frozenset(curve(t) for t in texts)
+from helpers import (
+    PennerSystem,
+    certify,
+    curves,
+    oracle_trace,
+    parse_curve as curve,
+    rotate,
+    step,
+    twist_support,
+)
 
 
 def test_base_curve_parse():
@@ -32,12 +25,15 @@ def test_base_curve_parse():
     assert str(BaseCurve("b", 3)) == "b3"
     for bad in ("d1", "a0", "a", "b-1", "1a"):
         with pytest.raises(ValueError):
-            BaseCurve.parse(bad)
+            curve(bad)
 
 
 def test_system_needs_genus_two():
     with pytest.raises(ValueError):
         PennerSystem(1)
+    for g in (1, 0, -3):
+        with pytest.raises(ValueError, match="genus >= 2"):
+            trace(g)
     assert len(PennerSystem(4).curves()) == 12
 
 
@@ -146,19 +142,15 @@ def test_trace_genus2_details():
 
 
 def test_trace_matches_set_implementation():
-    for g in range(2, 6):
+    for g in range(2, 13):
+        supports, certificates = oracle_trace(g)
         t = trace(g)
-        sys_ = PennerSystem(g)
-        s = curves(f"a{g}")
-        interp_certs = []
-        for k, support in enumerate(t.supports):
-            assert support == s, (g, k)
-            if k:
-                w = certify(sys_, s, curve(f"a{g}"))
-                if w is not None:
-                    interp_certs.append((k, w))
-            s = step(sys_, s)
-        assert tuple(interp_certs) == t.certificates
+        assert t.supports == supports, g
+        assert t.certificates == certificates, g
+    supports, certificates = oracle_trace(7, cap=11)
+    t = trace(7, cap=11)
+    assert len(supports) == 12
+    assert (t.supports, t.certificates) == (supports, certificates)
 
 
 def test_trace_supports_grow_until_saturation():

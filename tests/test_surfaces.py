@@ -8,8 +8,6 @@ from curvebounds.surfaces import (
     BoundReport,
     SporadicSurfaceError,
     SurfaceSig,
-    complexity,
-    euler_characteristic,
     flm_upper_bound,
     lower_bound_from_spread_time,
     punctured_genus2_upper_bound,
@@ -24,8 +22,8 @@ from helpers import rng_for
 def test_signature_invariants():
     s = SurfaceSig(2, 0)
     assert s.chi == -2 and s.xi == 3
-    assert euler_characteristic(SurfaceSig(3, 2)) == -6
-    assert complexity(SurfaceSig(0, 5)) == 2
+    assert SurfaceSig(3, 2).chi == -6
+    assert SurfaceSig(0, 5).xi == 2
     assert SurfaceSig(2).punctures == 0
 
 
