@@ -34,6 +34,7 @@ from .surfaces import (
     BoundReport,
     SporadicSurfaceError,
     SurfaceSig,
+    cusp_bound,
     flm_upper_bound,
     lower_bound_coefficient,
     punctured_genus2_upper_bound,
@@ -299,12 +300,11 @@ def run_track(input_path: str, as_json: bool) -> int:
         + ("PASS" if counts.real_ok else "FAIL")
     )
 
-    cusps = total_cusps(track)
-    cusp_bound = 6 * abs(sig.chi)
-    checks["cusp_count"] = cusps <= cusp_bound
-    payload["cusps"] = {"total": cusps, "bound": cusp_bound}
+    cusps, bound = total_cusps(track), cusp_bound(sig)
+    checks["cusp_count"] = cusps <= bound
+    payload["cusps"] = {"total": cusps, "bound": bound}
     lines.append(
-        f"cusps {cusps} <= {cusp_bound}: "
+        f"cusps {cusps} <= {bound}: "
         + ("PASS" if checks["cusp_count"] else "FAIL")
     )
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .surfaces import SurfaceSig
+from .surfaces import SurfaceSig, branch_bound, real_branch_bound
 
 __all__ = [
     "IntMatrix",
@@ -340,19 +340,14 @@ class BlockTransition:
         if not is_irreducible(restriction):
             raise NotIrreducibleError("real-branch block is not irreducible")
         object.__setattr__(self, "q", _girth(restriction.support_rows()))
-        chi = abs(self.surface.chi)
         if self.surface.chi >= 0:
             raise BlockStructureError(f"surface must have chi < 0: {self.surface}")
-        r = len(real)
-        if r > 3 * chi - 3:
-            raise BlockStructureError(
-                f"{r} real branches exceeds 3|chi|-3 = {3 * chi - 3}"
-            )
-        total_bound = 9 * chi - 3 * self.surface.punctures
+        r, real_bound = len(real), real_branch_bound(self.surface)
+        if r > real_bound:
+            raise BlockStructureError(f"{r} real branches exceeds 3|chi|-3 = {real_bound}")
+        total_bound = branch_bound(self.surface)
         if n > total_bound:
-            raise BlockStructureError(
-                f"{n} branches exceeds 9|chi|-3n = {total_bound}"
-            )
+            raise BlockStructureError(f"{n} branches exceeds 9|chi|-3n = {total_bound}")
 
     @property
     def r(self) -> int:

@@ -15,6 +15,9 @@ __all__ = [
     "SurfaceSig",
     "BoundReport",
     "lower_bound_coefficient",
+    "branch_bound",
+    "real_branch_bound",
+    "cusp_bound",
     "translation_length_lower_bound",
     "translation_length_upper_bound",
     "flm_upper_bound",
@@ -64,6 +67,21 @@ def lower_bound_coefficient(sig: SurfaceSig) -> int:
     return 162 if sig.punctures == 0 else 18
 
 
+def branch_bound(sig: SurfaceSig) -> int:
+    """Structural bound 9|chi| - 3n on the branches of a track on `sig`."""
+    return 9 * abs(sig.chi) - 3 * sig.punctures
+
+
+def real_branch_bound(sig: SurfaceSig) -> int:
+    """Structural bound 3|chi| - 3 on the real branches of a track on `sig`."""
+    return 3 * abs(sig.chi) - 3
+
+
+def cusp_bound(sig: SurfaceSig) -> int:
+    """Structural bound 6|chi| on the cusps (and fold times) of a track."""
+    return 6 * abs(sig.chi)
+
+
 def translation_length_lower_bound(sig: SurfaceSig) -> Fraction:
     """Universal lower bound 1/(c chi^2 + 6|chi|) for the stable translation
     length of any pseudo-Anosov map on `sig`, as an exact rational, with c
@@ -71,7 +89,7 @@ def translation_length_lower_bound(sig: SurfaceSig) -> Fraction:
     """
     sig.require_non_sporadic()
     chi = sig.chi
-    return Fraction(1, lower_bound_coefficient(sig) * chi * chi + 6 * abs(chi))
+    return Fraction(1, lower_bound_coefficient(sig) * chi * chi + cusp_bound(sig))
 
 
 def translation_length_upper_bound(genus: int) -> Fraction:
@@ -102,7 +120,7 @@ def lower_bound_from_spread_time(sig: SurfaceSig, k: int) -> Fraction:
     sig.require_non_sporadic()
     if k < 1:
         raise ValueError(f"spread time must be >= 1, got {k}")
-    return Fraction(1, 6 * abs(sig.chi) + k)
+    return Fraction(1, cusp_bound(sig) + k)
 
 
 def scaled_bound(bound: Fraction, power: int) -> Fraction:

@@ -11,11 +11,13 @@ cycles, cusps and complementary regions all fall out of one traversal.
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .surfaces import SurfaceSig
+from .surfaces import SurfaceSig, branch_bound, cusp_bound, real_branch_bound
 
 __all__ = [
     "TAGS",
@@ -87,14 +89,7 @@ class TrainTrack:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "switches", tuple(self.switches))
-        object.__setattr__(
-            self,
-            "branches",
-            tuple(
-                Branch(b.name, (BranchEnd(*b.ends[0]), BranchEnd(*b.ends[1])), b.tag)
-                for b in self.branches
-            ),
-        )
+        object.__setattr__(self, "branches", tuple(self.branches))
         if len(set(self.switches)) != len(self.switches):
             raise TrackStructureError("duplicate switch names")
         names = [b.name for b in self.branches]
@@ -499,6 +494,32 @@ def _noncrossing_subsets(chords: list[tuple[int, int]]) -> list[tuple[tuple[int,
     return out
 
 
+def _check_selection(
+    cycles: Sequence[BoundaryCycle],
+    selection: Sequence[tuple[int, tuple[int, int]]],
+) -> None:
+    """Raise TrackStructureError at the first entry that is no diagonal of
+    its polygon or that repeats or crosses an earlier chord on its cycle."""
+    chosen: dict[int, list[tuple[int, int]]] = {}
+    for entry in selection:
+        ci, (pi, pj) = entry
+        k = cycles[ci].cusp_count if ci in range(len(cycles)) else 0
+        chord = (min(pi, pj), max(pi, pj))
+        clash = [c for c in chosen.get(ci, ()) if c == chord or _crossing(c, chord)]
+        if ci not in range(len(cycles)):
+            why = f"no boundary cycle {ci}"
+        elif pi not in range(k) or pj not in range(k):
+            why = f"cycle {ci} has cusp positions 0..{k - 1}"
+        elif (pj - pi) % k in (0, 1, k - 1):
+            why = "equal or adjacent cusps are not a diagonal"
+        elif clash:
+            why = f"repeats or crosses {clash[0]} on cycle {ci}"
+        else:
+            chosen.setdefault(ci, []).append(chord)
+            continue
+        raise TrackStructureError(f"selection entry {entry}: {why}")
+
+
 def add_diagonals(
     track: TrainTrack,
     cycles: Sequence[BoundaryCycle],
@@ -508,69 +529,40 @@ def add_diagonals(
 
     Each diagonal terminates inside its two cusps; ends sharing a cusp are
     ordered by cyclic distance to their far endpoint, nearest distance
-    adjacent to the departure flank of the boundary traversal.
+    adjacent to the departure flank of the boundary traversal.  The i-th new
+    end of a side, in the gap after slot g, takes slot g + 1 + i; an old end
+    at slot s moves up by the number of new ends in gaps before s.
     """
+    _check_selection(cycles, selection)
     taken = {b.name for b in track.branches}
-    fresh = []
-    counter = 0
-    while len(fresh) < len(selection):
-        name = f"d{counter}"
-        counter += 1
-        if name not in taken:
-            fresh.append(name)
-    inserts: dict[tuple[str, int], dict[int, list[tuple[int, bool, str, int]]]] = {}
-    for d, (ci, (pi, pj)) in enumerate(selection):
+    names = (f"d{c}" for c in itertools.count() if f"d{c}" not in taken)
+    fresh = list(itertools.islice(names, len(selection)))
+    inserts: dict[tuple[str, int], list[tuple[int, int, str, int]]] = {}
+    for name, (ci, (pi, pj)) in zip(fresh, selection):
         cycle = cycles[ci]
-        k = cycle.cusp_count
-        name = fresh[d]
         for eidx, (pos, far) in enumerate(((pi, pj), (pj, pi))):
             visit = cycle.cusps[pos]
-            dist = (far - pos) % k
             sw, side, gap = visit.cusp
-            toward_late = visit.depart_slot == gap + 1
-            inserts.setdefault((sw, side), {}).setdefault(gap, []).append(
-                (dist, toward_late, name, eidx)
-            )
-    placed: dict[tuple[str, int], dict[int, tuple[str, int]]] = {}
-    new_side: dict[tuple[str, int], list[tuple[int, int] | tuple[str, int]]] = {}
-    for sw in track.switches:
-        for side in (0, 1):
-            ends = track.side_ends(sw, side)
-            gaps = inserts.get((sw, side), {})
-            seq: list = []
-            for slot, end in enumerate(ends):
-                seq.append(("old", end))
-                group = gaps.get(slot, [])
-                if group:
-                    toward_late = group[0][1]
-                    # nearest far endpoint sits next to the departure flank
-                    ordered = sorted(
-                        group, key=lambda it: -it[0] if toward_late else it[0]
-                    )
-                    seq.extend(("new", (name, eidx)) for _, _, name, eidx in ordered)
-            new_side[(sw, side)] = seq
-    old_pos: dict[tuple[int, int], BranchEnd] = {}
-    diag_pos: dict[tuple[str, int], BranchEnd] = {}
-    for sw in track.switches:
-        for side in (0, 1):
-            for slot, (kind, payload) in enumerate(new_side[(sw, side)]):
-                if kind == "old":
-                    old_pos[payload] = BranchEnd(sw, side, slot)
-                else:
-                    diag_pos[payload] = BranchEnd(sw, side, slot)
-    rebuilt = [
-        Branch(
-            b.name,
-            (old_pos[(bidx, 0)], old_pos[(bidx, 1)]),
-            b.tag,
-        )
-        for bidx, b in enumerate(track.branches)
-    ]
-    for name in fresh:
-        rebuilt.append(
-            Branch(name, (diag_pos[(name, 0)], diag_pos[(name, 1)]), "diagonal")
-        )
-    return TrainTrack(track.switches, tuple(rebuilt))
+            dist = (far - pos) % cycle.cusp_count
+            # nearest far endpoint sits next to the departure flank
+            key = -dist if visit.depart_slot == gap + 1 else dist
+            inserts.setdefault((sw, side), []).append((gap, key, name, eidx))
+    gaps: dict[tuple[str, int], list[int]] = {}
+    ends: dict[tuple[str, int], BranchEnd] = {}
+    for (sw, side), group in inserts.items():
+        group.sort()
+        gaps[(sw, side)] = [gap for gap, _, _, _ in group]
+        for i, (gap, _, name, eidx) in enumerate(group):
+            ends[(name, eidx)] = BranchEnd(sw, side, gap + 1 + i)
+    for b in track.branches:
+        for eidx, e in enumerate(b.ends):
+            shift = bisect_left(gaps.get((e.switch, e.side), ()), e.slot)
+            ends[(b.name, eidx)] = BranchEnd(e.switch, e.side, e.slot + shift)
+    tags = [(b.name, b.tag) for b in track.branches] + [(n, "diagonal") for n in fresh]
+    return TrainTrack(
+        track.switches,
+        tuple(Branch(n, (ends[(n, 0)], ends[(n, 1)]), tag) for n, tag in tags),
+    )
 
 
 def enumerate_diagonal_extensions(
@@ -578,7 +570,8 @@ def enumerate_diagonal_extensions(
 ) -> tuple[TrainTrack, ...]:
     """All recurrent tracks obtained by adding mutually non-crossing
     diagonals inside the polygon regions (the base track included when it is
-    itself recurrent).  Deterministic lexicographic order.
+    itself recurrent), each judged by whether every branch lies on a closed
+    route.  Deterministic lexicographic order, region 0 varying slowest.
     """
     report = classify_regions(track, attachment)
     if not report.is_large:
@@ -590,21 +583,14 @@ def enumerate_diagonal_extensions(
                 f"region {info.index} has {info.cusp_count} cusps, "
                 f"cutoff is {REGION_CUSP_CUTOFF}"
             )
-    per_region: list[list[tuple[tuple[int, int], ...]]] = []
-    for info in report.regions:
-        per_region.append(_noncrossing_subsets(_chords(info.cusp_count)))
-    selections: list[list[tuple[int, tuple[int, int]]]] = [[]]
-    for ci, subsets in enumerate(per_region):
-        grown = []
-        for base in selections:
-            for sub in subsets:
-                grown.append(base + [(ci, chord) for chord in sub])
-        selections = grown
+    per_region = [
+        _noncrossing_subsets(_chords(info.cusp_count)) for info in report.regions
+    ]
     out = []
-    for sel in selections:
+    for combo in itertools.product(*per_region):
+        sel = [(ci, chord) for ci, sub in enumerate(combo) for chord in sub]
         ext = add_diagonals(track, cycles, sel)
-        ok, _ = is_recurrent(ext)
-        if ok:
+        if not unrouted_branches(ext):
             out.append(ext)
     return tuple(out)
 
@@ -641,11 +627,9 @@ def branch_count_report(track: TrainTrack, sig: SurfaceSig) -> BranchCountReport
     """Compare branch counts against the structural bounds 9|chi| - 3n
     (all branches) and 3|chi| - 3 (strictly, real branches).  Violations are
     reported as flags, never raised."""
-    chi = abs(sig.chi)
-    total = track.num_branches
-    total_bound = 9 * chi - 3 * sig.punctures
+    total, total_bound = track.num_branches, branch_bound(sig)
     real = sum(1 for b in track.branches if b.tag == "real")
-    real_bound = 3 * chi - 3
+    real_bound = real_branch_bound(sig)
     return BranchCountReport(
         total=total,
         total_bound=total_bound,
@@ -681,10 +665,8 @@ def max_fold_time(fs: FoldSchedule, sig: SurfaceSig) -> int:
         raise ValueError("fold schedule has no cusps")
     if sig.chi >= 0:
         raise ValueError(f"surface must have chi < 0: {sig}")
-    if len(cusps) > 6 * abs(sig.chi):
-        raise ValueError(
-            f"{len(cusps)} cusps exceeds 6|chi| = {6 * abs(sig.chi)}"
-        )
+    if len(cusps) > cusp_bound(sig):
+        raise ValueError(f"{len(cusps)} cusps exceeds 6|chi| = {cusp_bound(sig)}")
     for c in fs.cusps:
         if c not in fs.cusp_map or fs.cusp_map[c] not in cusps:
             raise ValueError(f"cusp map is not a total map on the cusps: {c!r}")

@@ -454,6 +454,19 @@ def noncrossing_subsets_brute(k: int) -> set[frozenset]:
     return out
 
 
+def dissection_sizes(k: int, chords) -> list[int]:
+    """Sorted vertex counts of the polygons that non-crossing chords cut a
+    k-gon (vertices 0..k-1 in cyclic order) into.  Each chord splits the
+    one polygon holding both of its endpoints."""
+    polygons = [list(range(k))]
+    for i, j in chords:
+        (poly,) = [p for p in polygons if i in p and j in p]
+        a, b = sorted((poly.index(i), poly.index(j)))
+        polygons.remove(poly)
+        polygons += [poly[a:b + 1], poly[b:] + poly[:a + 1]]
+    return sorted(len(p) for p in polygons)
+
+
 # --- fold schedules ---------------------------------------------------------
 
 

@@ -8,9 +8,12 @@ from curvebounds.surfaces import (
     BoundReport,
     SporadicSurfaceError,
     SurfaceSig,
+    branch_bound,
+    cusp_bound,
     flm_upper_bound,
     lower_bound_from_spread_time,
     punctured_genus2_upper_bound,
+    real_branch_bound,
     scaled_bound,
     translation_length_lower_bound,
     translation_length_upper_bound,
@@ -142,6 +145,15 @@ def test_genus2_punctured_needs_five():
     for n in (0, 1, 4):
         with pytest.raises(ValueError):
             punctured_genus2_upper_bound(n)
+
+
+@pytest.mark.parametrize("genus, punctures", [(2, 0), (3, 0), (0, 5), (2, 3), (10, 1)])
+def test_structural_bounds(genus, punctures):
+    sig = SurfaceSig(genus, punctures)
+    chi = 2 * genus + punctures - 2
+    assert branch_bound(sig) == 9 * chi - 3 * punctures
+    assert real_branch_bound(sig) == 3 * chi - 3
+    assert cusp_bound(sig) == 6 * chi
 
 
 def test_spread_time_bound():

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
 
-from curvebounds.reference import build_spine
+from curvebounds.reference import CUSP_CORNERS, build_spine
 from curvebounds.surfaces import SurfaceSig
 from curvebounds.traintrack import (
     Branch,
@@ -35,6 +36,7 @@ from curvebounds.traintrack import (
 
 from helpers import (
     counting_measure,
+    dissection_sizes,
     noncrossing_subsets_brute,
     random_fold_schedule,
     random_small_track,
@@ -435,6 +437,62 @@ def test_positive_on_base_requires_extension():
 def test_add_diagonals_noop():
     t = barbell()
     assert add_diagonals(t, boundary_cycles(t), []) == t
+
+
+@pytest.mark.parametrize(
+    "selection, cause",
+    [
+        ([(0, (-1, 2))], "cusp positions 0..5"),  # wraps to (5, 2)
+        ([(0, (0, 6))], "cusp positions 0..5"),
+        ([(0, (2, 2))], "equal or adjacent"),  # a loop at one cusp
+        ([(0, (0, 1))], "equal or adjacent"),
+        ([(0, (5, 0))], "equal or adjacent"),  # adjacent across the wrap
+        ([(-1, (0, 2))], "no boundary cycle -1"),  # wraps to the last cycle
+        ([(1, (0, 2))], "no boundary cycle 1"),
+        ([(0, (0, 2)), (0, (2, 0))], "repeats or crosses (0, 2)"),
+        ([(0, (0, 3)), (0, (4, 1))], "repeats or crosses (0, 3)"),
+    ],
+    ids=["wrap", "past-end", "loop", "adjacent", "adjacent-wrap", "cycle-wrap",
+         "no-cycle", "repeat", "cross"],
+)
+def test_add_diagonals_rejects_non_diagonals(selection, cause):
+    spine = build_spine(2, CUSP_CORNERS[2])
+    pattern = "selection entry .*" + re.escape(cause)
+    with pytest.raises(TrackStructureError, match=pattern):
+        add_diagonals(spine, boundary_cycles(spine), selection)
+
+
+def test_add_diagonals_accepts_unsorted_pairs():
+    spine = build_spine(2, CUSP_CORNERS[2])
+    cycles = boundary_cycles(spine)
+    for selection in (
+        [(0, (5, 2))],
+        [(0, (2, 0)), (0, (4, 0))],
+        [(0, (3, 0)), (0, (5, 3))],
+    ):
+        ext = add_diagonals(spine, cycles, selection)
+        assert ext.num_branches == spine.num_branches + len(selection)
+
+
+@pytest.mark.parametrize("genus, sample", [(2, None), (3, 400)])
+def test_extension_regions_match_polygon_dissection(genus, sample):
+    """Cutting the spine's one polygon region with a non-crossing chord family
+    leaves the regions that cutting a polygon with those chords leaves."""
+    spine = build_spine(genus, CUSP_CORNERS[genus])
+    cycles = boundary_cycles(spine)
+    k = cycles[0].cusp_count
+    families = _noncrossing_subsets(_chords(k))
+    assert (k, len(families)) == {2: (6, 45), 3: (10, 20793)}[genus]
+    rng = rng_for(f"dissection-{genus}")
+    if sample is not None:
+        families = rng.sample(families, sample)
+    for family in families:
+        # entry order and pair orientation do not change the regions
+        chords = [c[::-1] if rng.random() < 0.5 else c for c in family]
+        rng.shuffle(chords)
+        ext = add_diagonals(spine, cycles, [(0, c) for c in chords])
+        got = sorted(c.cusp_count for c in boundary_cycles(ext))
+        assert got == dissection_sizes(k, family), family
 
 
 def test_fold_schedule_basics():
