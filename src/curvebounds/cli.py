@@ -266,15 +266,15 @@ def run_track(input_path: str, as_json: bool) -> int:
             f"maximal: {'yes' if report.is_maximal else 'no'}"
         )
 
-    recurrent, witness = is_recurrent(track)
-    checks["recurrent"] = recurrent
-    if recurrent:
+    dead = unrouted_branches(track)
+    checks["recurrent"] = not dead
+    if not dead:
+        witness = is_recurrent(track)[1]
         payload["witness"] = {name: frac_str(w) for name, w in sorted(witness.items())}
         lines.append("recurrence: PASS (positive witness measure found)")
     else:
         # Name one dead branch and the count, not the list: a large track
         # can have hundreds.
-        dead = unrouted_branches(track)
         payload["witness"] = None
         payload["no_route"] = {"count": len(dead), "first": dead[0]}
         lines.append(
@@ -344,9 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command == "bounds":
         if args.genus_min > args.genus_max:
             parser.error("empty genus range")
@@ -366,6 +364,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "pf":
         return run_pf(args.input, args.json)
     return run_track(args.input, args.json)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _build_parser()
+    try:
+        return _run(parser, parser.parse_args(argv))
+    except MemoryError:  # reports print only when complete: stdout is empty
+        print("error: input too large for available memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

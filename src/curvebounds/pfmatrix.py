@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ._digraph import components, image
 from .surfaces import SurfaceSig, branch_bound, real_branch_bound
 
 __all__ = [
@@ -130,27 +131,11 @@ class IntMatrix:
 
     def support_rows(self) -> list[int]:
         """Row bitmasks of the support digraph: bit j of row i set iff m[i][j] > 0."""
-        masks = []
-        for row in self.entries:
-            m = 0
-            for j, x in enumerate(row):
-                if x:
-                    m |= 1 << j
-            masks.append(m)
-        return masks
+        return [sum(1 << j for j, x in enumerate(row) if x) for row in self.entries]
 
 
 def _bool_mul(a: list[int], b: list[int]) -> list[int]:
-    out = []
-    for row in a:
-        acc = 0
-        r = row
-        while r:
-            low = r & -r
-            acc |= b[low.bit_length() - 1]
-            r ^= low
-        out.append(acc)
-    return out
+    return [image(b, row) for row in a]
 
 
 def _bool_pow(adj: list[int], k: int) -> list[int]:
@@ -170,41 +155,15 @@ def _require_square(m: IntMatrix) -> None:
         raise ValueError(f"square matrix required, got {m.rows}x{m.cols}")
 
 
-def _reach_all(adj: list[int], start: int) -> bool:
-    """True iff every node is reachable from `start` by a directed path."""
-    n = len(adj)
-    seen = 1 << start
-    frontier = adj[start]
-    while frontier & ~seen:
-        seen |= frontier
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= adj[low.bit_length() - 1]
-            f ^= low
-        frontier = nxt
-    return seen == (1 << n) - 1
-
-
 def is_irreducible(m: IntMatrix) -> bool:
-    """Strong connectivity of the support digraph.
+    """Strong connectivity of the support digraph: an edge and one component.
 
     The 1x1 zero matrix is not irreducible (no power has a positive entry);
     a 1x1 positive matrix is.
     """
     _require_square(m)
-    if m.rows == 1:
-        return m.entries[0][0] > 0
     adj = m.support_rows()
-    radj = [0] * m.rows
-    for i, row in enumerate(adj):
-        r = row
-        while r:
-            low = r & -r
-            radj[low.bit_length() - 1] |= 1 << i
-            r ^= low
-    return _reach_all(adj, 0) and _reach_all(radj, 0)
+    return any(adj) and len(set(components(adj))) == 1
 
 
 def min_positive_diagonal_power(m: IntMatrix) -> int:
@@ -220,26 +179,18 @@ def min_positive_diagonal_power(m: IntMatrix) -> int:
 
 def _girth(adj: list[int]) -> int:
     """Length of the shortest directed cycle of a support digraph that has one."""
-    n = len(adj)
     best = None
-    for i in range(n):
+    for i in range(len(adj)):
         # BFS for the shortest directed cycle through i.
-        target = 1 << i
         frontier = adj[i]
         dist = 1
         seen = 0
         while frontier and (best is None or dist < best):
-            if frontier & target:
-                best = dist if best is None else min(best, dist)
+            if frontier >> i & 1:
+                best = dist
                 break
             seen |= frontier
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= adj[low.bit_length() - 1]
-                f ^= low
-            frontier = nxt & ~seen
+            frontier = image(adj, frontier) & ~seen
             dist += 1
     assert best is not None  # callers pass irreducible digraphs, which have cycles
     return best
@@ -371,19 +322,12 @@ def cover_time(bt: BlockTransition) -> int:
     covered at depth d.
     """
     adj = bt.matrix.support_rows()
-    n = bt.dim
-    full = (1 << n) - 1
-    covered = 0
-    for i in bt.real_set:
-        covered |= 1 << i
+    covered = sum(1 << i for i in bt.real_set)
     depth = 0
-    while covered != full:
-        grown = covered
-        for b in range(n):
-            if not (covered >> b) & 1 and adj[b] & covered:
-                grown |= 1 << b
-        if grown == covered or depth >= n:
-            missing = [b for b in range(n) if not (covered >> b) & 1]
+    while covered != (1 << bt.dim) - 1:
+        grown = covered | sum(1 << b for b, row in enumerate(adj) if row & covered)
+        if grown == covered:
+            missing = [b for b in range(bt.dim) if not (covered >> b) & 1]
             raise NotBHStructureError(
                 "not a BH transition structure: branches never covered by "
                 f"images of the real set: {missing}"

@@ -15,8 +15,9 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
+from ._digraph import components, shortest_path
 from .surfaces import SurfaceSig, branch_bound, cusp_bound, real_branch_bound
 
 __all__ = [
@@ -203,84 +204,52 @@ def check_measure(track: TrainTrack, weights: Mapping[str, Fraction]) -> bool:
 # --- recurrence by closed smooth routes -------------------------------------
 
 
-def _dart_cycles(track: TrainTrack) -> tuple[list[list[int]], list[bool]]:
-    """The dart graph and, per dart, whether its strongly connected component
-    has a cycle (iterative Tarjan).  Dart 2b + e travels branch b to its end
-    e; a route continues into any end on the other side of that switch."""
-    succ = [
-        [2 * b2 + 1 - e2 for b2, e2 in track.side_ends(end.switch, 1 - end.side)]
-        for b in track.branches
-        for end in b.ends
-    ]
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    cyclic = [False] * n
-    stack: list[int] = []
-    pending: dict[int, Iterator[int]] = {}
-    for root in range(n):
-        work = [root] if index[root] < 0 else []
-        while work:
-            v = work[-1]
-            if index[v] < 0:
-                index[v] = low[v] = len(pending)
-                pending[v] = iter(succ[v])
-                stack.append(v)
-            for w in pending[v]:
-                if index[w] < 0:
-                    work.append(w)
-                    break
-                low[v] = min(low[v], low[w])  # finished components hold n
-            else:
-                work.pop()
-                if work:
-                    low[work[-1]] = min(low[work[-1]], low[v])
-                if low[v] == index[v]:
-                    members = [stack.pop()]
-                    while members[-1] != v:
-                        members.append(stack.pop())
-                    for w in members:
-                        low[w] = n
-                        cyclic[w] = len(members) > 1 or v in succ[v]
-    return succ, cyclic
+def _switch_side_graph(track: TrainTrack) -> tuple[list[int], list[tuple[int, int]]]:
+    """The switch-side graph and the end nodes of each branch.  Node
+    2s + side leaves switch s through that side; a branch with end nodes A
+    and B is the edge A -> B ^ 1 one way and B -> A ^ 1 the other, because
+    a smooth route arriving on one side of a switch leaves by the other."""
+    first = {sw: 2 * i for i, sw in enumerate(track.switches)}
+    ends = [tuple(first[e.switch] + e.side for e in b.ends) for b in track.branches]
+    succ = [0] * (2 * len(track.switches))
+    for a, z in ends:
+        succ[a] |= 1 << (z ^ 1)
+        succ[z] |= 1 << (a ^ 1)
+    return succ, ends
 
 
 def unrouted_branches(track: TrainTrack) -> tuple[str, ...]:
-    """Names of the branches on no closed smooth route, in track order."""
-    cyclic = _dart_cycles(track)[1]
-    return tuple(b.name for i, b in enumerate(track.branches) if not cyclic[2 * i])
+    """Names of the branches on no closed smooth route, in track order: the
+    branches whose edge A -> B ^ 1 joins two components."""
+    succ, ends = _switch_side_graph(track)
+    label = components(succ)
+    return tuple(
+        b.name for b, (a, z) in zip(track.branches, ends) if label[a] != label[z ^ 1]
+    )
 
 
 def is_recurrent(track: TrainTrack) -> tuple[bool, dict[str, Fraction] | None]:
     """Decide whether the track carries a strictly positive measure: whether
-    every branch lies on a closed smooth route, a dart cycle (Penner-Harer).
-    A reversed route swaps the darts of each branch, so either dart decides.
-    The witness sums, for each branch not yet covered, the counting measure
-    of a shortest dart cycle through it; its weights are integers >= 1."""
-    succ, cyclic = _dart_cycles(track)
-    if not all(cyclic[::2]):
-        return False, None
-    count = [0] * len(succ)
-    for start in range(0, len(succ), 2):
-        if count[start] or count[start + 1]:
+    every branch lies on a closed smooth route (Penner-Harer).  For each
+    branch not yet covered, in track order, a shortest path B ^ 1 -> A of
+    the switch-side graph closes its edge A -> B ^ 1 into a closed route; the
+    witness counts how often these routes traverse each branch, so its
+    weights are integers >= 1.  A branch with no such path decides False."""
+    succ, ends = _switch_side_graph(track)
+    via: dict[tuple[int, int], int] = {}  # one branch per edge
+    for i, (a, z) in enumerate(ends):
+        via[a, z ^ 1] = via[z, a ^ 1] = i
+    count = [0] * len(ends)
+    for i, (a, z) in enumerate(ends):
+        if count[i]:
             continue
-        parent = {start: start}
-        queue = [start]
-        for v in queue:
-            if start in succ[v]:
-                break
-            for w in succ[v]:
-                if w not in parent:
-                    parent[w] = v
-                    queue.append(w)
-        while v != start:
-            count[v] += 1
-            v = parent[v]
-        count[start] += 1
-    return True, {
-        b.name: Fraction(count[2 * i] + count[2 * i + 1])
-        for i, b in enumerate(track.branches)
-    }
+        path = shortest_path(succ, z ^ 1, a)
+        if path is None:
+            return False, None
+        count[i] += 1
+        for edge in zip(path, path[1:]):
+            count[via[edge]] += 1
+    return True, {b.name: Fraction(c) for b, c in zip(track.branches, count)}
 
 
 # --- ribbon boundary traversal ----------------------------------------------

@@ -207,6 +207,41 @@ def brute_cover_time(bt: BlockTransition) -> int:
     return j
 
 
+# --- digraphs ---------------------------------------------------------------
+
+
+def random_digraph(rng: random.Random, n: int) -> list[list[int]]:
+    """Successor lists of a random digraph on nodes 0..n-1, mixing densities
+    with self-loops, 2-cycles, empty rows and isolated nodes."""
+    density = rng.choice((0.0, 1 / n, 2 / n, 0.3))
+    succ = [{w for w in range(n) if rng.random() < density} for _ in range(n)]
+    for _ in range(rng.randint(0, 3)):
+        v = rng.randrange(n)
+        succ[v].add(v)
+        u, v = rng.randrange(n), rng.randrange(n)
+        succ[u].add(v)
+        succ[v].add(u)
+        succ[rng.randrange(n)].clear()
+        v = rng.randrange(n)
+        succ[v].clear()
+        for row in succ:
+            row.discard(v)
+    return [sorted(row) for row in succ]
+
+
+def brute_distances(succ: list[list[int]], source: int) -> dict[int, int]:
+    """Length of a shortest path from source to every node it reaches
+    (source itself at 0), by breadth-first search over successor lists."""
+    dist = {source: 0}
+    queue = [source]
+    for v in queue:
+        for w in succ[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
 # --- tracks -----------------------------------------------------------------
 
 SIDE_SHAPES = ((1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (3, 2), (2, 3))

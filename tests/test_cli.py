@@ -446,3 +446,35 @@ def test_cli_import_does_not_load_numpy():
     env = {**os.environ, "PYTHONPATH": str(src)}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
     assert result.returncode == 0, result.stderr.decode()
+
+
+def _limit_address_space() -> None:
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["penner", "--genus", "1000000000000"],
+        ["bounds", "--genus-min", "1000000000000", "--genus-max", "1000000000000"],
+    ],
+    ids=["penner", "bounds"],
+)
+def test_huge_genus_out_of_memory_exits_2_with_one_line(args):
+    """The Penner trace of this genus needs a 3-terabit mask, so under a
+    1 GiB address-space limit (set in the child only) it runs out of memory
+    at once; that is unusable input, not a crash."""
+    src = Path(curvebounds.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-m", "curvebounds.cli", *args],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:")
+    assert result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr

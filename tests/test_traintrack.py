@@ -214,8 +214,9 @@ def test_recurrent_barbell():
 def test_dead_branch_not_recurrent():
     assert is_recurrent(dead_branch_track()) == (False, None)
     assert not route_recurrent(dead_branch_track())
-    # Each dart of the stem is a component of its own with a self-loop:
-    # the stem is live and only the loop is dead.
+    # On the switch-side graph the stem is a self-loop at each side, a
+    # closed route by itself; the loop leads from side 0 to side 1 and
+    # nothing leads back, so only the loop is dead.
     assert unrouted_branches(dead_branch_track()) == ("loop",)
     assert route_dead_branches(dead_branch_track()) == ["loop"]
 
@@ -229,8 +230,8 @@ def assert_integer_witness(track: TrainTrack, w) -> None:
 def test_recurrence_matches_route_oracle():
     rng = rng_for("track-recur")
     seen = {True: 0, False: 0}
-    for _ in range(80):
-        t = random_small_track(rng)
+    for _ in range(3000):
+        t = random_small_track(rng, max_branches=12)
         ok, w = is_recurrent(t)
         assert ok == route_recurrent(t), t
         assert list(unrouted_branches(t)) == route_dead_branches(t), t
