@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from collections.abc import Iterable
 
 from .fileio import (
     MatrixFileError,
@@ -120,34 +122,48 @@ def run_bounds(genus_min: int, genus_max: int, punctures: int, as_json: bool) ->
 # --- penner -----------------------------------------------------------------
 
 
+def _json_list(items: Iterable[str], depth: int, quote: str = "") -> str:
+    """`items` as a JSON list at nesting `depth`, laid out as by
+    json.dumps(indent=2).  Each item is JSON text, or with `quote='"'` a
+    string that needs no escaping."""
+    pad = "  " * depth
+    body = f"{quote},\n{pad}  {quote}".join(items)
+    return f"[\n{pad}  {quote}{body}{quote}\n{pad}]" if body else "[]"
+
+
 def run_penner(genus: int, cap: int | None, as_json: bool) -> int:
     result = trace(genus, cap)
     upper = translation_length_upper_bound(genus)
     ok = result.bound is not None and result.bound <= upper
-    supports = [
-        sorted(str(c) for c in s) for s in result.supports
-    ]
-    payload = {
-        "genus": genus,
-        "cap": result.cap,
-        "supports": supports,
-        "certificates": [[k, str(w)] for k, w in result.certificates],
-        "best_k": result.best_k,
-        "bound": frac_str(result.bound) if result.bound is not None else None,
-        "upper_closed": frac_str(upper),
-        "pass": ok,
-    }
-    lines = [f"penner trace, genus {genus}, cap {result.cap}"]
-    for k, s in enumerate(supports):
-        lines.append(f"S_{k} = {{{' '.join(s)}}}")
-    for k, w in result.certificates:
-        lines.append(f"certified k={k} witness={w}")
-    lines.append(f"best_k={result.best_k} bound={payload['bound']}")
-    verdict = "PASS" if ok else "FAIL"
-    lines.append(
-        f"2/{result.best_k} <= 4/(g^2+g-4) = {frac_str(upper)}: {verdict}"
+    bound = frac_str(result.bound) if result.bound is not None else None
+    # The supports are O(g^3) bytes, so they are written one at a time from
+    # the masks and never held as a whole report.
+    write = sys.stdout.write
+    if not as_json:
+        write(f"penner trace, genus {genus}, cap {result.cap}\n")
+        for k, names in enumerate(result.sorted_names()):
+            write(f"S_{k} = {{{' '.join(names)}}}\n")
+        for k, w in result.certificates:
+            write(f"certified k={k} witness={w}\n")
+        write(f"best_k={result.best_k} bound={bound}\n")
+        verdict = "PASS" if ok else "FAIL"
+        write(f"2/{result.best_k} <= 4/(g^2+g-4) = {frac_str(upper)}: {verdict}\n")
+        return 0 if ok else 1
+    # The bytes of json.dumps(payload, indent=2, sort_keys=True): the keys
+    # are written in sorted order.  Curve names are letters and digits.
+    dump = json.dumps
+    certificates = _json_list(
+        (_json_list((dump(k), dump(str(w))), 2) for k, w in result.certificates), 1
     )
-    _emit(payload, as_json, lines)
+    write(
+        f'{{\n  "best_k": {dump(result.best_k)},\n  "bound": {dump(bound)},\n'
+        f'  "cap": {dump(result.cap)},\n  "certificates": {certificates},\n'
+        f'  "genus": {dump(genus)},\n  "pass": {dump(ok)},\n  "supports": ['
+    )
+    for k, names in enumerate(result.sorted_names()):
+        write(("\n    " if k == 0 else ",\n    ") + _json_list(names, 2, '"'))
+    write("\n  ]" if result.masks else "]")
+    write(f',\n  "upper_closed": {dump(frac_str(upper))}\n}}\n')
     return 0 if ok else 1
 
 
@@ -369,9 +385,19 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        return _run(parser, parser.parse_args(argv))
-    except MemoryError:  # reports print only when complete: stdout is empty
+        code = _run(parser, parser.parse_args(argv))
+        sys.stdout.flush()  # a reader that has gone shows here at the latest
+        return code
+    except MemoryError:
+        # Each report computes its verdict before its first write, so stdout
+        # is still empty.
         print("error: input too large for available memory", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # The reader closed stdout.  Point fd 1 at devnull so that the flush
+        # at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the report was complete", file=sys.stderr)
         return 2
 
 

@@ -15,9 +15,12 @@ against an independent set-based model of the same system.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import compress
+from operator import itemgetter
 from typing import NamedTuple
 
 __all__ = [
@@ -30,6 +33,7 @@ __all__ = [
 ]
 
 FAMILIES = ("a", "b", "c")
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class NoCertificateError(RuntimeError):
@@ -85,6 +89,19 @@ class TraceResult:
                 m ^= low
             out.append(frozenset(curves))
         return tuple(out)
+
+    def sorted_names(self) -> Iterator[Iterator[str]]:
+        """Each support's curve names in string order (a1, a10, a100, a11,
+        ...), read straight from `masks`: no curve objects, no sort."""
+        nbits = 3 * self.genus
+        names = [f"{family}{i}" for family in FAMILIES for i in range(1, self.genus + 1)]
+        order = sorted(range(nbits), key=names.__getitem__)
+        ordered = [names[cid] for cid in order]
+        # format() puts bit cid at string position nbits - 1 - cid.
+        pick = itemgetter(*(nbits - 1 - cid for cid in order))
+        spec = f"0{nbits}b"
+        for mask in self.masks:
+            yield compress(ordered, pick(format(mask, spec).encode().translate(_BIT_BYTES)))
 
 
 def trace(genus: int, cap: int | None = None) -> TraceResult:

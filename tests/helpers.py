@@ -8,15 +8,17 @@ from __future__ import annotations
 
 import os
 import random
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from curvebounds.penner import BaseCurve
+from curvebounds.fileio import frac_str
+from curvebounds.penner import BaseCurve, TraceResult
 from curvebounds.pfmatrix import IntMatrix, is_irreducible, primitivity_exponent
 from curvebounds.pfmatrix import BlockTransition
-from curvebounds.surfaces import SurfaceSig
+from curvebounds.surfaces import SurfaceSig, translation_length_upper_bound
 from curvebounds.traintrack import Branch, BranchEnd, TrainTrack
 
 SEED = int(os.environ.get("CURVEBOUNDS_TEST_SEED", "7130823"))
@@ -454,6 +456,36 @@ def oracle_trace(genus: int, cap: int | None = None):
         if supports[-1] == supports[-2] == full:
             break
     return tuple(supports), tuple(certificates)
+
+
+def reference_penner_report(result: TraceResult, as_json: bool) -> tuple[str, int]:
+    """Stdout and exit code of `penner` for `result`, built as one payload
+    from the `supports` frozensets and printed whole."""
+    genus = result.genus
+    upper = translation_length_upper_bound(genus)
+    ok = result.bound is not None and result.bound <= upper
+    supports = [sorted(str(c) for c in s) for s in result.supports]
+    payload = {
+        "genus": genus,
+        "cap": result.cap,
+        "supports": supports,
+        "certificates": [[k, str(w)] for k, w in result.certificates],
+        "best_k": result.best_k,
+        "bound": frac_str(result.bound) if result.bound is not None else None,
+        "upper_closed": frac_str(upper),
+        "pass": ok,
+    }
+    if as_json:
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n", 0 if ok else 1
+    lines = [f"penner trace, genus {genus}, cap {result.cap}"]
+    for k, s in enumerate(supports):
+        lines.append(f"S_{k} = {{{' '.join(s)}}}")
+    for k, w in result.certificates:
+        lines.append(f"certified k={k} witness={w}")
+    lines.append(f"best_k={result.best_k} bound={payload['bound']}")
+    verdict = "PASS" if ok else "FAIL"
+    lines.append(f"2/{result.best_k} <= 4/(g^2+g-4) = {frac_str(upper)}: {verdict}")
+    return "".join(line + "\n" for line in lines), 0 if ok else 1
 
 
 # --- polygon chords ---------------------------------------------------------

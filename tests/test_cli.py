@@ -6,17 +6,20 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import curvebounds
-from curvebounds.cli import main, run_bounds
+from curvebounds import cli
+from curvebounds.cli import main, run_bounds, run_penner
 from curvebounds.fileio import data_path, format_track
+from curvebounds.penner import TraceResult, trace
 from curvebounds.reference import build_spine, spine_attachment
 
-from helpers import near_valid_texts, numeric_field
+from helpers import near_valid_texts, numeric_field, reference_penner_report
 
 CHAIN_MATRIX = "3 3\n0 1 0\n0 0 1\n0 0 1\nreal: 2\nsurface: 2 0\n"
 
@@ -175,6 +178,41 @@ def test_penner_parser_rejections():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("genus", range(2, 31))
+def test_penner_report_bytes_match_reference(capsys, genus):
+    for cap in (None, 1, 2, genus, 3 * genus * genus):
+        result = trace(genus, cap)
+        for as_json in (False, True):
+            code = run_penner(genus, cap, as_json)
+            assert (capsys.readouterr().out, code) == reference_penner_report(result, as_json)
+
+
+@pytest.mark.parametrize("masks", [trace(3, 2).masks, ()], ids=["supports", "no-supports"])
+def test_penner_report_without_certificates(capsys, monkeypatch, masks):
+    """No real cap up to genus 40 leaves a trace with no certificate, but
+    the writer must still give null bound and best_k, empty lists and a
+    failed verdict."""
+    empty = TraceResult(genus=3, cap=2, masks=masks, certificates=(), best_k=None, bound=None)
+    monkeypatch.setattr(cli, "trace", lambda genus, cap: empty)
+    for as_json in (False, True):
+        code = run_penner(3, 2, as_json)
+        out = capsys.readouterr().out
+        assert (out, code) == reference_penner_report(empty, as_json)
+        assert code == 1
+    payload = json.loads(out)
+    assert payload["best_k"] is None and payload["bound"] is None
+    assert payload["certificates"] == [] and payload["pass"] is False
+
+
+def test_penner_report_reads_masks_not_supports(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("penner output must not build TraceResult.supports")
+
+    monkeypatch.setattr(TraceResult, "supports", property(refuse))
+    assert main(["penner", "--genus", "5", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["supports"][0] == ["a5"]
 
 
 # --- pf ---------------------------------------------------------------------
@@ -448,10 +486,28 @@ def test_cli_import_does_not_load_numpy():
     assert result.returncode == 0, result.stderr.decode()
 
 
-def _limit_address_space() -> None:
+def _limit_address_space(nbytes: int) -> None:
     import resource
 
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    resource.setrlimit(resource.RLIMIT_AS, (nbytes, nbytes))
+
+
+def _cli_subprocess(args: list[str], unbuffered: bool = False, **kwargs):
+    """`python -m curvebounds.cli` with this checkout's package and stdout
+    block-buffered as usual, or unbuffered as under PYTHONUNBUFFERED."""
+    src = Path(curvebounds.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "curvebounds.cli", *args], env=env, **kwargs)
+
+
+def _assert_one_error_line(proc, err: bytes) -> None:
+    text = err.decode()
+    assert proc.returncode == 2
+    assert text.startswith("error:") and text.count("\n") == 1
+    assert "Traceback" not in text and "Exception ignored" not in text
 
 
 @pytest.mark.parametrize(
@@ -466,15 +522,61 @@ def test_huge_genus_out_of_memory_exits_2_with_one_line(args):
     """The Penner trace of this genus needs a 3-terabit mask, so under a
     1 GiB address-space limit (set in the child only) it runs out of memory
     at once; that is unusable input, not a crash."""
-    src = Path(curvebounds.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    result = subprocess.run(
-        [sys.executable, "-m", "curvebounds.cli", *args],
-        env=env, capture_output=True, text=True, timeout=60,
-        preexec_fn=_limit_address_space,
-    )
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert result.stderr.startswith("error:")
-    assert result.stderr.count("\n") == 1
-    assert "Traceback" not in result.stderr
+    with _cli_subprocess(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                         preexec_fn=partial(_limit_address_space, 1 << 30)) as proc:
+        out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_penner_json_streams_within_256_mib():
+    """The genus-150 report is over 25 MB; written support by support from
+    the masks it fits in a 256 MiB address space (set in the child only)."""
+    with _cli_subprocess(["penner", "--genus", "150", "--json"],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         preexec_fn=partial(_limit_address_space, 256 << 20)) as proc:
+        out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert err == b""
+    assert len(out) > 25_000_000
+    assert out.startswith(b'{\n  "best_k": ') and out.endswith(b"}\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["penner", "--genus", "60"],
+        ["bounds", "--genus-min", "2", "--genus-max", "4000", "--punctures", "1", "--json"],
+    ],
+    ids=["penner", "bounds"],
+)
+def test_closed_stdout_exits_2_with_one_line(args, unbuffered):
+    """A reader that leaves after one line.  Both reports (710 KB and
+    337 KB) are far larger than a pipe's buffer, so the writer is still
+    writing when the pipe closes."""
+    with _cli_subprocess(args, unbuffered, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    _assert_one_error_line(proc, err)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "args",
+    [["penner", "--genus", "3", "--json"], ["bounds", "--genus-min", "2", "--genus-max", "3"]],
+    ids=["penner", "bounds"],
+)
+def test_stdout_without_reader_exits_2_with_one_line(args, unbuffered):
+    """Small reports to a pipe whose reader closed before the run started:
+    block-buffered, the broken pipe shows only at the last flush."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with _cli_subprocess(args, unbuffered, stdout=write_end, stderr=subprocess.PIPE) as proc:
+        os.close(write_end)
+        _, err = proc.communicate(timeout=60)
+    _assert_one_error_line(proc, err)

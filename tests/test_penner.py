@@ -147,10 +147,12 @@ def test_trace_matches_set_implementation():
         t = trace(g)
         assert t.supports == supports, g
         assert t.certificates == certificates, g
+        assert [list(n) for n in t.sorted_names()] == [sorted(map(str, s)) for s in supports], g
     supports, certificates = oracle_trace(7, cap=11)
     t = trace(7, cap=11)
     assert len(supports) == 12
     assert (t.supports, t.certificates) == (supports, certificates)
+    assert [list(n) for n in t.sorted_names()] == [sorted(map(str, s)) for s in supports]
 
 
 def test_trace_supports_grow_until_saturation():
