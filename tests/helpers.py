@@ -11,6 +11,7 @@ import random
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
@@ -456,6 +457,68 @@ def oracle_trace(genus: int, cap: int | None = None):
         if supports[-1] == supports[-2] == full:
             break
     return tuple(supports), tuple(certificates)
+
+
+class StepTrace(NamedTuple):
+    masks: tuple[int, ...]
+    certificates: tuple[tuple[int, BaseCurve], ...]
+    best_k: int | None
+    bound: Fraction | None
+
+
+def step_trace(genus: int, cap: int | None = None) -> StepTrace:
+    """The bitmask trace one step at a time: three twists and a rotation
+    per iterate, with the library's certificate and stopping rules.  A
+    second oracle for `curvebounds.penner.trace`, which skips the steps
+    that only rotate."""
+    g = genus
+    if g < 2:
+        raise ValueError(f"chain system needs genus >= 2, got {g}")
+    if cap is None:
+        cap = 3 * g * g
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
+
+    nbits = 3 * g
+    full = (1 << nbits) - 1
+    lows = 1 | (1 << g) | (1 << 2 * g)  # the three index-1 bits
+    shift = g - 1
+
+    def bit(fam: int, idx: int) -> int:
+        return 1 << (fam * g + idx - 1)
+
+    a1, b1, c1 = bit(0, 1), bit(1, 1), bit(2, 1)
+    # Each twist curve, in twist order, with its closed neighborhood and the
+    # curves it meets:  a_1-b_1,  b_1-{a_1, c_1, c_2},  c_1-{b_1, b_g}.
+    closed = [
+        (cbit | nmask, cbit, nmask)
+        for cbit, nmask in ((a1, b1), (b1, a1 | c1 | bit(2, 2)), (c1, b1 | bit(1, g)))
+    ]
+    start_bit = bit(0, g)
+    not_bg = full & ~bit(1, g)
+    blocked = start_bit | bit(1, g)  # a_g meets only b_g
+
+    s = start_bit
+    masks = [s]
+    certificates: list[tuple[int, BaseCurve]] = []
+    for k in range(1, cap + 1):
+        for cmask, cbit, nmask in closed:
+            if s & nmask:
+                s |= cbit
+                blocked |= cmask
+        s = ((s & ~lows) >> 1) | ((s & lows) << shift)
+        blocked = ((blocked & ~lows) >> 1) | ((blocked & lows) << shift)
+        masks.append(s)
+        avail = not_bg & ~blocked
+        if avail:
+            low = (avail & -avail).bit_length() - 1
+            certificates.append((k, BaseCurve(FAMILIES[low // g], low % g + 1)))
+        if s == full and masks[-2] == full:
+            break
+
+    best_k = max((k for k, _ in certificates), default=None)
+    bound = Fraction(2, best_k) if best_k else None
+    return StepTrace(tuple(masks), tuple(certificates), best_k, bound)
 
 
 def reference_penner_report(result: TraceResult, as_json: bool) -> tuple[str, int]:

@@ -194,7 +194,11 @@ def test_penner_report_without_certificates(capsys, monkeypatch, masks):
     """No real cap up to genus 40 leaves a trace with no certificate, but
     the writer must still give null bound and best_k, empty lists and a
     failed verdict."""
-    empty = TraceResult(genus=3, cap=2, masks=masks, certificates=(), best_k=None, bound=None)
+    # One event per step, each with every curve blocked: the replay gives
+    # back `masks` and no certificate.
+    events = tuple((k, mask, (1 << 9) - 1) for k, mask in enumerate(masks))
+    empty = TraceResult(genus=3, cap=2, events=events, steps=len(masks) - 1, best_k=None, bound=None)
+    assert empty.masks == masks and empty.certificates == ()
     monkeypatch.setattr(cli, "trace", lambda genus, cap: empty)
     for as_json in (False, True):
         code = run_penner(3, 2, as_json)
@@ -204,6 +208,17 @@ def test_penner_report_without_certificates(capsys, monkeypatch, masks):
     payload = json.loads(out)
     assert payload["best_k"] is None and payload["bound"] is None
     assert payload["certificates"] == [] and payload["pass"] is False
+
+
+def test_bounds_reads_best_k_only(capsys, monkeypatch):
+    """`bounds` needs only best_k and bound, so it never replays a trace."""
+    def refuse(self):
+        raise AssertionError("bounds must not rebuild per-step trace data")
+
+    monkeypatch.setattr(TraceResult, "masks", property(refuse))
+    monkeypatch.setattr(TraceResult, "certificates", property(refuse))
+    assert main(["bounds", "--genus-min", "2", "--genus-max", "40"]) == 0
+    assert capsys.readouterr().out
 
 
 def test_penner_report_reads_masks_not_supports(capsys, monkeypatch):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvebounds.penner import BaseCurve, k_star, penner_upper_bound, trace
+from curvebounds.penner import BaseCurve, _orbit, _rotate, k_star, penner_upper_bound, trace
 from curvebounds.surfaces import translation_length_upper_bound
 
 from helpers import (
@@ -13,8 +13,10 @@ from helpers import (
     curves,
     oracle_trace,
     parse_curve as curve,
+    rng_for,
     rotate,
     step,
+    step_trace,
     twist_support,
 )
 
@@ -92,6 +94,24 @@ def test_rotate():
     assert rotate(sys_, s) == s
 
 
+def test_rotation_and_orbit_words():
+    """`_rotate(x, g, j)` is j index rotations of the set model, and bit j
+    of `_orbit(x, g, c)` is bit c after them."""
+    rng = rng_for("penner-orbit")
+    for g in range(2, 10):
+        system = PennerSystem(g)
+        cids = {c: "abc".index(c.family) * g + c.index - 1 for c in system.curves()}
+        for _ in range(10):
+            support = frozenset(c for c in system.curves() if rng.random() < 0.4)
+            x = sum(1 << cids[c] for c in support)
+            for j in range(g):
+                assert _rotate(x, g, j) == sum(1 << cids[c] for c in support), (g, j)
+                support = rotate(system, support)
+            for c in range(3 * g):
+                word = _orbit(x, g, c)
+                assert word == sum((_rotate(x, g, j) >> c & 1) << j for j in range(g)), (g, c)
+
+
 def test_step_by_hand_genus2():
     sys_ = PennerSystem(2)
     s = curves("a2")
@@ -155,6 +175,41 @@ def test_trace_matches_set_implementation():
     assert [list(n) for n in t.sorted_names()] == [sorted(map(str, s)) for s in supports]
 
 
+def _assert_same_trace(genus, cap):
+    t, ref = trace(genus, cap), step_trace(genus, cap)
+    assert t.masks == ref.masks, (genus, cap)
+    assert t.certificates == ref.certificates, (genus, cap)
+    assert (t.best_k, t.bound) == (ref.best_k, ref.bound), (genus, cap)
+    assert len(t.masks) == len(ref.masks) == t.steps + 1, (genus, cap)
+
+
+@pytest.mark.parametrize("genus", range(2, 41))
+def test_trace_matches_step_oracle(genus):
+    g = genus
+    for cap in (None, 1, 2, g - 1, g, g + 1, 3 * g, 3 * g * g):
+        _assert_same_trace(g, cap)
+
+
+@pytest.mark.parametrize("genus", range(2, 9))
+def test_trace_matches_step_oracle_at_every_cap(genus):
+    for cap in range(1, 3 * genus * genus + 1):
+        _assert_same_trace(genus, cap)
+
+
+@pytest.mark.parametrize("genus", [*range(41, 401, 17), 400])
+def test_trace_best_k_matches_step_oracle_large_genus(genus):
+    assert trace(genus).best_k == step_trace(genus).best_k
+
+
+def test_trace_events_are_bounded():
+    """popcount(support) and popcount(blocked) never fall, so at most 6g
+    steps do more than rotate; every other step is skipped."""
+    for g in range(2, 201):
+        t = trace(g)
+        assert len(t.events) <= 6 * g + 1, g
+        assert t.events[0][0] == 0 and t.steps < 3 * g * g, g
+
+
 def test_trace_supports_grow_until_saturation():
     for g in (2, 3, 5):
         sup = trace(g).supports
@@ -190,7 +245,10 @@ def test_penner_upper_bound():
 
 
 def test_certified_bound_beats_closed_form():
-    for g in range(2, 30):
+    """The certified iterate is the rotation-chain count, one more for even
+    genus, and its bound 2/k never exceeds the closed form."""
+    for g in [*range(2, 401), 1000, 2000]:
         k, bound = penner_upper_bound(g)
+        assert k == k_star(g) + (g % 2 == 0), g
         assert k >= (g * g + g - 4) // 2
         assert bound <= translation_length_upper_bound(g)
