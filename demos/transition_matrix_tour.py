@@ -8,11 +8,11 @@ from curvebounds import (
     IntMatrix,
     SurfaceSig,
     cover_time,
-    dominant_eigenvalue_estimate,
     full_spread_power,
     is_irreducible,
     lower_bound_from_spread_time,
     min_positive_diagonal_power,
+    perron_root_bracket,
     primitivity_exponent,
     wielandt_bound,
 )
@@ -22,8 +22,9 @@ print("M =", fib)
 print("  irreducible:", is_irreducible(fib))
 print("  least power with positive diagonal entry q =", min_positive_diagonal_power(fib))
 print("  primitivity exponent:", primitivity_exponent(fib))
-lam, res = dominant_eigenvalue_estimate(fib)
-print(f"  dominant eigenvalue ~ {lam:.12f} (residual {res:.2e})")
+lo, hi = perron_root_bracket(fib)
+print(f"  Perron root in [lo, hi] ~ [{float(lo):.12f}, {float(hi):.12f}]"
+      f" (exact Fractions, width {float(hi - lo):.1e})")
 print()
 
 swap = IntMatrix([[0, 1], [1, 0]])

@@ -19,12 +19,11 @@ from .pfmatrix import (
     IntMatrix,
     NotBHStructureError,
     NotIrreducibleError,
-    NotPrimitiveError,
     cover_time,
-    dominant_eigenvalue_estimate,
     full_spread_power,
     is_irreducible,
     min_positive_diagonal_power,
+    perron_root_bracket,
     primitivity_exponent,
     product_lower_right,
     wielandt_bound,

@@ -136,8 +136,8 @@ def run_penner(genus: int, cap: int | None, as_json: bool) -> int:
     upper = translation_length_upper_bound(genus)
     ok = result.bound is not None and result.bound <= upper
     bound = frac_str(result.bound) if result.bound is not None else None
-    # The supports are O(g^3) bytes, so they are written one at a time from
-    # the masks and never held as a whole report.
+    # The supports are O(g^3) bytes, so they are written one at a time as
+    # they are replayed and never held as a whole report.
     write = sys.stdout.write
     if not as_json:
         write(f"penner trace, genus {genus}, cap {result.cap}\n")
@@ -162,8 +162,7 @@ def run_penner(genus: int, cap: int | None, as_json: bool) -> int:
     )
     for k, names in enumerate(result.sorted_names()):
         write(("\n    " if k == 0 else ",\n    ") + _json_list(names, 2, '"'))
-    write("\n  ]" if result.masks else "]")
-    write(f',\n  "upper_closed": {dump(frac_str(upper))}\n}}\n')
+    write(f'\n  ],\n  "upper_closed": {dump(frac_str(upper))}\n}}\n')
     return 0 if ok else 1
 
 

@@ -149,7 +149,8 @@ class TraceResult:
 
     def sorted_names(self) -> Iterator[Iterator[str]]:
         """Each support's curve names in string order (a1, a10, a100, a11,
-        ...), read straight from `masks`: no curve objects, no sort."""
+        ...), read straight from the replayed supports: no curve objects, no
+        sort, and no `masks` tuple."""
         nbits = 3 * self.genus
         names = [f"{family}{i}" for family in FAMILIES for i in range(1, self.genus + 1)]
         order = sorted(range(nbits), key=names.__getitem__)
@@ -157,7 +158,7 @@ class TraceResult:
         # format() puts bit cid at string position nbits - 1 - cid.
         pick = itemgetter(*(nbits - 1 - cid for cid in order))
         spec = f"0{nbits}b"
-        for mask in self.masks:
+        for mask in self._replay(1):
             yield compress(ordered, pick(format(mask, spec).encode().translate(_BIT_BYTES)))
 
 

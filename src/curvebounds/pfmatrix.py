@@ -3,7 +3,7 @@
 Every zero-pattern question (irreducibility, shortest cycles, cover times,
 positivity of powers) runs on the boolean support digraph, stored as one
 int bitmask per row; powers of it are taken by repeated squaring.  Only
-block products and the eigenvalue estimate use integer entries.
+block products and the Perron root bracket use integer entries.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "IntMatrix",
     "BlockTransition",
     "NotIrreducibleError",
-    "NotPrimitiveError",
     "BlockStructureError",
     "NotBHStructureError",
     "is_irreducible",
@@ -29,16 +28,12 @@ __all__ = [
     "product_lower_right",
     "cover_time",
     "full_spread_power",
-    "dominant_eigenvalue_estimate",
+    "perron_root_bracket",
 ]
 
 
 class NotIrreducibleError(ValueError):
     """Support digraph is not strongly connected."""
-
-
-class NotPrimitiveError(ValueError):
-    """No power of the matrix is entrywise positive."""
 
 
 class BlockStructureError(ValueError):
@@ -359,29 +354,30 @@ def full_spread_power(bt: BlockTransition) -> int:
     return k
 
 
-def dominant_eigenvalue_estimate(
-    m: IntMatrix, iterations: int = 200
-) -> tuple[float, float]:
-    """Power-iteration estimate of the Perron-Frobenius eigenvalue of a
-    primitive matrix; returns (estimate, residual) with the residual measured
-    in the max norm on the unit-normalized vector.
+# Power-iteration steps behind the Perron root bracket; at 200 the Fibonacci
+# bracket is 3.0e-84 wide.
+_PERRON_STEPS = 200
 
-    The iterates u_t = m^t 1 are exact integers: after T = `iterations`
-    steps the estimate is max u_T / max u_(T-1) and the residual is
-    max |u_(T+1) - estimate u_T| / max u_T, rounded to floats at the end.
+
+def perron_root_bracket(m: IntMatrix) -> tuple[Fraction, Fraction]:
+    """Exact Collatz-Wielandt bracket lo <= rho(m) <= hi on the Perron root.
+
+    The power iterate u = m^200 1 is computed in exact integers, and lo and
+    hi are the least and greatest ratio (m u)_i / u_i.  The certificate
+    lo u <= m u <= hi u holds for every nonnegative matrix with u > 0 and
+    re-checks in one mat-vec; for a primitive matrix the bracket narrows
+    geometrically in the number of steps.  Some u_i = 0 means row i of
+    m^200 vanishes, which only a reducible matrix allows.
     """
-    if primitivity_exponent(m) is None:
-        raise NotPrimitiveError("power iteration needs a primitive matrix")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+    _require_square(m)
 
     def step(u: list[int]) -> list[int]:
         return [sum(a * x for a, x in zip(row, u)) for row in m.entries]
 
-    prev = [1] * m.rows
-    u = step(prev)
-    for _ in range(iterations - 1):
-        prev, u = u, step(u)
-    lam = Fraction(max(u), max(prev))
-    residual = max(abs(y - lam * x) for x, y in zip(u, step(u))) / max(u)
-    return float(lam), float(residual)
+    u = [1] * m.rows
+    for _ in range(_PERRON_STEPS):
+        u = step(u)
+    if not all(u):
+        raise NotIrreducibleError(f"row {u.index(0)} of m^{_PERRON_STEPS} vanishes")
+    ratios = [Fraction(y, x) for x, y in zip(u, step(u))]
+    return min(ratios), max(ratios)

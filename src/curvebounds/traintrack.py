@@ -296,14 +296,9 @@ def boundary_cycles(track: TrainTrack) -> tuple[BoundaryCycle, ...]:
             branch_partner[_point(bidx, 1, other)] = _point(bidx, 0, sheet)
     switch_partner = [0] * npts
     cusp_at: dict[tuple[int, int], tuple[Cusp, int, int]] = {}
-    slot_of = {}
     for sw in track.switches:
         side0 = track.side_ends(sw, 0)
         side1 = track.side_ends(sw, 1)
-        for side, ends in ((0, side0), (1, side1)):
-            for slot, (bidx, eidx) in enumerate(ends):
-                slot_of[_point(bidx, eidx, 0)] = slot
-                slot_of[_point(bidx, eidx, 1)] = slot
         top0 = _point(*side0[0], 0)
         top1 = _point(*side1[0], 0)
         switch_partner[top0] = top1

@@ -210,6 +210,83 @@ def brute_cover_time(bt: BlockTransition) -> int:
     return j
 
 
+# --- characteristic polynomial ----------------------------------------------
+# Polynomials are lists of Fraction coefficients, highest degree first, with
+# no leading zero; [] is the zero polynomial.
+
+
+def char_poly(m: IntMatrix) -> list[Fraction]:
+    """det(xI - m) by Faddeev-LeVerrier: M_0 = 0, M_k = m M_(k-1) + c_(n-k+1) I
+    and c_(n-k) = -tr(m M_k) / k, starting from c_n = 1."""
+    n = m.rows
+    a = [[Fraction(x) for x in row] for row in m.entries]
+    coeffs = [Fraction(1)]
+    mk = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        mk = [
+            [sum(a[i][l] * mk[l][j] for l in range(n)) + (coeffs[-1] if i == j else 0)
+             for j in range(n)]
+            for i in range(n)
+        ]
+        tr = sum(a[i][l] * mk[l][i] for i in range(n) for l in range(n))
+        coeffs.append(-tr / k)
+    return coeffs
+
+
+def _poly_divmod(p: list[Fraction], q: list[Fraction]):
+    p, quo = list(p), []
+    while len(p) >= len(q):
+        f = p[0] / q[0]
+        quo.append(f)
+        for i, c in enumerate(q):
+            p[i] -= f * c
+        p.pop(0)
+    while p and p[0] == 0:
+        p.pop(0)
+    return quo, p
+
+
+def _poly_deriv(p: list[Fraction]) -> list[Fraction]:
+    return [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]
+
+
+def _poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in p:
+        acc = acc * x + c
+    return acc
+
+
+def _sign_changes(values) -> int:
+    signs = [v > 0 for v in values if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def char_root_counts(m: IntMatrix, lo: Fraction, hi: Fraction) -> tuple[int, int]:
+    """(distinct real roots of det(xI - m) in [lo, hi], those in (hi, oo)).
+
+    Sturm's theorem counts the distinct roots in (a, b] as V(a) - V(b) only
+    for a square-free polynomial, so the sequence is built on p / gcd(p, p')
+    and a repeated root at lo or hi is counted once, not misread.
+    """
+    p = char_poly(m)
+    g, r = p, _poly_deriv(p)
+    while r:
+        g, r = r, _poly_divmod(g, r)[1]
+    p = _poly_divmod(p, g)[0]
+    seq = [p, _poly_deriv(p)]
+    while seq[-1]:
+        seq.append([-c for c in _poly_divmod(seq[-2], seq[-1])[1]])
+    seq.pop()
+
+    def changes(x: Fraction) -> int:
+        return _sign_changes(_poly_eval(s, x) for s in seq)
+
+    at_infinity = _sign_changes(s[0] for s in seq)
+    in_bracket = changes(lo) - changes(hi) + (_poly_eval(p, lo) == 0)
+    return in_bracket, changes(hi) - at_infinity
+
+
 # --- digraphs ---------------------------------------------------------------
 
 

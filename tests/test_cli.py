@@ -189,13 +189,13 @@ def test_penner_report_bytes_match_reference(capsys, genus):
             assert (capsys.readouterr().out, code) == reference_penner_report(result, as_json)
 
 
-@pytest.mark.parametrize("masks", [trace(3, 2).masks, ()], ids=["supports", "no-supports"])
-def test_penner_report_without_certificates(capsys, monkeypatch, masks):
+def test_penner_report_without_certificates(capsys, monkeypatch):
     """No real cap up to genus 40 leaves a trace with no certificate, but
-    the writer must still give null bound and best_k, empty lists and a
-    failed verdict."""
+    the writer must still give null bound and best_k, an empty certificate
+    list and a failed verdict."""
     # One event per step, each with every curve blocked: the replay gives
     # back `masks` and no certificate.
+    masks = trace(3, 2).masks
     events = tuple((k, mask, (1 << 9) - 1) for k, mask in enumerate(masks))
     empty = TraceResult(genus=3, cap=2, events=events, steps=len(masks) - 1, best_k=None, bound=None)
     assert empty.masks == masks and empty.certificates == ()
@@ -219,6 +219,18 @@ def test_bounds_reads_best_k_only(capsys, monkeypatch):
     monkeypatch.setattr(TraceResult, "certificates", property(refuse))
     assert main(["bounds", "--genus-min", "2", "--genus-max", "40"]) == 0
     assert capsys.readouterr().out
+
+
+def test_penner_never_builds_masks(capsys, monkeypatch):
+    """The report replays each support as it writes it; the O(g^2)-entry
+    `masks` tuple is never built."""
+    def refuse(self):
+        raise AssertionError("penner must not build TraceResult.masks")
+
+    monkeypatch.setattr(TraceResult, "masks", property(refuse))
+    for as_json in (False, True):
+        assert run_penner(12, None, as_json) == 0
+        assert capsys.readouterr().out
 
 
 def test_penner_report_reads_masks_not_supports(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-import math
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -10,12 +11,11 @@ from curvebounds.pfmatrix import (
     IntMatrix,
     NotBHStructureError,
     NotIrreducibleError,
-    NotPrimitiveError,
     cover_time,
-    dominant_eigenvalue_estimate,
     full_spread_power,
     is_irreducible,
     min_positive_diagonal_power,
+    perron_root_bracket,
     primitivity_exponent,
     product_lower_right,
     wielandt_bound,
@@ -29,6 +29,7 @@ from helpers import (
     brute_girth,
     brute_irreducible,
     chain_block_transition,
+    char_root_counts,
     cyclic_class_matrix,
     random_block_sequence,
     random_irreducible,
@@ -65,7 +66,7 @@ def test_matrix_algebra():
     assert a ** 1 == a
     assert a ** 3 == a @ a @ a
     assert a.submatrix([1], [0, 1]) == IntMatrix([[3, 4]])
-    assert not a.entrywise_positive() or True
+    assert a.entrywise_positive()
     assert IntMatrix([[1, 1], [1, 1]]).entrywise_positive()
     assert not IntMatrix([[1, 0], [1, 1]]).entrywise_positive()
     with pytest.raises(ValueError):
@@ -356,14 +357,60 @@ def test_full_spread_power_imprimitive_restriction_fails():
         full_spread_power(bt)
 
 
-# --- eigenvalue estimate ----------------------------------------------------
+# --- Perron root bracket ----------------------------------------------------
 
 
-def test_dominant_eigenvalue_estimate():
-    lam, res = dominant_eigenvalue_estimate(IntMatrix([[2]]))
-    assert lam == pytest.approx(2.0) and res < 1e-9
-    lam, res = dominant_eigenvalue_estimate(IntMatrix([[1, 1], [1, 0]]))
-    assert lam == pytest.approx((1 + math.sqrt(5)) / 2, rel=1e-10)
-    assert res < 1e-9
-    with pytest.raises(NotPrimitiveError):
-        dominant_eigenvalue_estimate(IntMatrix([[0, 1], [1, 0]]))
+def test_perron_root_bracket_exact_cases():
+    assert perron_root_bracket(IntMatrix([[2]])) == (2, 2)
+    assert perron_root_bracket(IntMatrix([[0, 1], [1, 0]])) == (1, 1)
+    fib = IntMatrix([[1, 1], [1, 0]])
+    lo, hi = perron_root_bracket(fib)
+    assert 0 < hi - lo < Fraction(1, 10**80)
+    # The golden ratio is the root of x^2 - x - 1 above 1.
+    assert lo * lo - lo - 1 <= 0 <= hi * hi - hi - 1
+    # The oracle tells a bracket from one that misses the root.
+    assert char_root_counts(fib, lo, hi) == (1, 0)
+    assert char_root_counts(fib, Fraction(-1), Fraction(0)) == (1, 1)
+    assert char_root_counts(fib, Fraction(2), Fraction(3)) == (0, 0)
+
+
+def test_perron_root_bracket_contains_largest_root():
+    """det(xI - m) has no root above hi and one in [lo, hi], on primitive,
+    imprimitive and reducible matrices; only a reducible one has u_i = 0."""
+    rng = rng_for("pf-perron")
+    cases = [wielandt_matrix(n) for n in range(2, 8)]
+    # Reducible, with the double root 2 exactly at lo.
+    cases.append(IntMatrix([[2, 1, 0], [0, 2, 0], [0, 0, 3]]))
+    cases += [
+        cyclic_class_matrix(rng, n, period)
+        for period in (2, 3) for n in range(period, 8) for _ in range(3)
+    ]
+    cases += [
+        random_matrix(rng, rng.randint(1, 7), density=rng.uniform(0.2, 0.8))
+        for _ in range(300)
+    ]
+    kinds = Counter()
+    for m in cases:
+        if not is_irreducible(m):
+            kind = "reducible"
+        else:
+            kind = "imprimitive" if primitivity_exponent(m) is None else "primitive"
+        try:
+            lo, hi = perron_root_bracket(m)
+        except NotIrreducibleError:
+            assert kind == "reducible", m
+            kinds["vanishing"] += 1
+            continue
+        in_bracket, above = char_root_counts(m, lo, hi)
+        assert lo <= hi and in_bracket >= 1 and above == 0, m
+        kinds[kind] += 1
+    for kind in ("primitive", "imprimitive", "reducible", "vanishing"):
+        assert kinds[kind] >= 10, kinds
+
+
+def test_perron_root_bracket_rejects():
+    for entries in ([[0]], [[1, 1], [0, 0]], [[0, 1, 0], [0, 0, 1], [0, 0, 0]]):
+        with pytest.raises(NotIrreducibleError):
+            perron_root_bracket(IntMatrix(entries))
+    with pytest.raises(ValueError, match="square"):
+        perron_root_bracket(IntMatrix([[1, 2]]))
