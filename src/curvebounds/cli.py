@@ -80,9 +80,7 @@ def _bounds_row(genus: int, punctures: int) -> dict:
                 surface=sig,
                 lower=lower,
                 upper_closed=upper,
-                upper_flm=flm,
                 upper_penner=penner_bound,
-                certificate_k=k,
             ).validate()
             row["upper_closed"] = frac_str(upper)
             row["flm_upper_float64"] = flm

@@ -10,14 +10,14 @@ upper bounds 2/k.
 
 The trace runs on int bitmasks, one bit per curve: family f (a, b, c =
 0, 1, 2) and index i give bit f*g + i - 1.  Almost every step only rotates
-each family's g-bit row, and at most 6g steps do more, since a twist
-only ever adds bits.  So the trace jumps along rotation orbits: after a
-pure rotation it reads the length of the run of rotations that follows
-off g-bit words of the state, and skips it.  The work is O(g) events of
-O(g)-bit operations; the per-step supports and certificates are rebuilt
-on demand by replaying the rotations.  The test suite cross-checks it
-against an independent set-based model of the same system and against
-the plain step-by-step loop.
+each family's g-bit row, and at most 3g - 1 steps do more, since each of
+them adds a curve to the support.  So the trace jumps along rotation
+orbits: after a pure rotation it reads the length of the run of rotations
+that follows off g-bit words of the support, and skips it.  The work is
+O(g) events of O(g)-bit operations; the per-step supports and
+certificates are rebuilt on demand by replaying the rotations.  The test
+suite cross-checks it against an independent set-based model of the same
+system and against the plain step-by-step loop.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import compress, islice
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -84,52 +84,66 @@ def _orbit(x: int, g: int, c: int) -> int:
     return ((row >> p) | (row << (g - p))) & mask
 
 
+def _closed(x: int, g: int) -> int:
+    """The closed neighbourhood N[x] of a support mask: its curves and every
+    curve meeting one of them, under  a_j-b_j,  c_j-b_j,  c_j-b_{j-1}."""
+    mask = (1 << g) - 1
+    a, b, c = x & mask, (x >> g) & mask, x >> 2 * g
+    # c_{j+1} and b_{j-1} brought to place j: one index rotation each way.
+    c_next = (c >> 1) | ((c & 1) << (g - 1))
+    b_prev = ((b << 1) | (b >> (g - 1))) & mask
+    ab = a | b
+    return ab | (ab | c | c_next) << g | (b | c | b_prev) << 2 * g
+
+
 @dataclass(frozen=True)
 class TraceResult:
     """Orbit supports S_0..S_K with every certified iterate.
 
-    `events` holds the state `(k, support, blocked)` after each step k that
-    was not a pure rotation, from the start (k = 0); every other step up to
-    K = `steps` only rotates it.  `masks` (the supports S_k), `certificates`
+    `events` holds `(k, S_k)` after each step k that was not a pure
+    rotation, from the start (k = 0); every other step up to K = `steps`
+    only rotates the support.  `masks` (the supports S_k), `certificates`
     and `supports` are rebuilt from it by replaying rotations on first use.
-    `bound * best_k == 2` whenever a certificate exists.
+    The certified iterates are exactly 1..`best_k`, and
+    `bound * best_k == 2` whenever there is one.
     """
 
     genus: int
     cap: int
-    events: tuple[tuple[int, int, int], ...]
+    events: tuple[tuple[int, int], ...]
     steps: int
     best_k: int | None
     bound: Fraction | None
 
-    def _replay(self, field: int) -> Iterator[int]:
-        """Field 1 (support) or 2 (blocked) of the state after each step."""
-        lows = 1 | (1 << self.genus) | (1 << 2 * self.genus)  # the index-1 bits
-        shift = self.genus - 1
-        ends = [k for k, _, _ in self.events[1:]] + [self.steps + 1]
-        for event, end in zip(self.events, ends):
-            x = event[field]
-            for _ in range(event[0], end):
+    def _replay(self, closed: bool = False) -> Iterator[int]:
+        """S_k, or N[S_k] when `closed`, after each step k = 0..steps."""
+        g = self.genus
+        lows = 1 | (1 << g) | (1 << 2 * g)  # the index-1 bits
+        shift = g - 1
+        ends = [k for k, _ in self.events[1:]] + [self.steps + 1]
+        for (k, x), end in zip(self.events, ends):
+            if closed:
+                x = _closed(x, g)
+            for _ in range(k, end):
                 yield x
                 x = ((x & ~lows) >> 1) | ((x & lows) << shift)
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
         """Support bitmask S_k for k = 0..steps."""
-        return tuple(self._replay(1))
+        return tuple(self._replay())
 
     @cached_property
     def certificates(self) -> tuple[tuple[int, BaseCurve], ...]:
-        """(k, witness) for each certified step k >= 1; the witness is the
-        least bit outside `blocked` other than b_g."""
+        """(k, witness) for k = 1..best_k; the witness is the least curve
+        outside N[S_k] other than b_g, which alone meets the start a_g."""
         g = self.genus
         not_bg = ((1 << 3 * g) - 1) & ~(1 << (2 * g - 1))
         out = []
-        for k, blocked in enumerate(self._replay(2)):
-            avail = not_bg & ~blocked
-            if k and avail:
-                low = (avail & -avail).bit_length() - 1
-                out.append((k, _curve(FAMILIES[low // g], low % g + 1)))
+        for k, near in islice(enumerate(self._replay(closed=True)), 1, (self.best_k or 0) + 1):
+            free = not_bg & ~near
+            low = (free & -free).bit_length() - 1
+            out.append((k, _curve(FAMILIES[low // g], low % g + 1)))
         return tuple(out)
 
     @cached_property
@@ -158,15 +172,20 @@ class TraceResult:
         # format() puts bit cid at string position nbits - 1 - cid.
         pick = itemgetter(*(nbits - 1 - cid for cid in order))
         spec = f"0{nbits}b"
-        for mask in self._replay(1):
+        for mask in self._replay():
             yield compress(ordered, pick(format(mask, spec).encode().translate(_BIT_BYTES)))
 
 
 def trace(genus: int, cap: int | None = None) -> TraceResult:
-    """Iterate the support of the starting curve a_g, certifying each step.
+    """Iterate the support of the starting curve a_g.
 
     Stops at `cap` (default 3g^2) or as soon as the support has saturated to
-    the full system and repeats.
+    the full system and repeats.  Step k is certified while some curve other
+    than b_g lies outside N[S_k]; it suffices that N[S_k] is not the whole
+    system, since b_i outside it leaves a_i outside too.  N commutes with the
+    rotation and a twist only adds curves, so once N[S_k] is everything it
+    stays so: the certified steps are 1 up to the one before the first event
+    with a full N[S_k].
     """
     g = genus
     if g < 2:
@@ -176,81 +195,48 @@ def trace(genus: int, cap: int | None = None) -> TraceResult:
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
 
-    nbits = 3 * g
-    full = (1 << nbits) - 1
+    full = (1 << 3 * g) - 1
     lows = 1 | (1 << g) | (1 << 2 * g)  # the three index-1 bits
     shift = g - 1
+    # The twist curves a_1, b_1, c_1 in twist order, each with the curves it
+    # meets.
+    twist_curves = (0, g, 2 * g)
+    twists = [(1 << c, _closed(1 << c, g) & ~(1 << c)) for c in twist_curves]
 
-    def cid(fam: int, idx: int) -> int:
-        return fam * g + idx - 1
-
-    a1, b1, c1, c2, bg = cid(0, 1), cid(1, 1), cid(2, 1), cid(2, 2), cid(1, g)
-    # Each twist curve, in twist order, with the curves it meets:
-    # a_1-b_1,  b_1-{a_1, c_1, c_2},  c_1-{b_1, b_g}.  As bitmasks: its
-    # closed neighborhood, itself and its neighbors.
-    twists = ((a1, (b1,)), (b1, (a1, c1, c2)), (c1, (b1, bg)))
-    closed = []
-    for c, nbrs in twists:
-        nmask = sum(1 << n for n in nbrs)
-        closed.append((1 << c | nmask, 1 << c, nmask))
-    start_bit = 1 << cid(0, g)
-    # A witness at step k is any curve outside the closed neighborhood of
-    # the support and disjoint from the start, i.e. any bit missing from
-    # `blocked` other than b_g.  The intersection pattern commutes with the
-    # index rotation, so `blocked` evolves by the same bit rotation as the
-    # support and only grows when a twist joins.  The least available bit
-    # is automatically the a-family-first, lowest-index witness.
-    not_bg = full & ~(1 << bg)
-    blocked = start_bit | 1 << bg  # a_g meets only b_g
-
-    # `blocked` is always the closed neighborhood of the support, so a step
-    # is a pure rotation unless some twist curve outside the support meets
-    # it.  One orbit word per curve read gives that test for every j < g
-    # rotations at once.  Its least set bit is the number of pure rotations
-    # that follow; rotation has period g, so an empty word means they never
-    # end.
-    def pure_run(s: int) -> int | None:
-        on = {c: _orbit(s, g, c) for c in (a1, b1, c1, c2, bg)}
+    # A step is a pure rotation unless some twist curve lies in N[S] but not
+    # in S.  The orbit word of each twist curve gives that test for every
+    # j < g rotations at once; its least set bit is the number of pure
+    # rotations that follow.  N[S] = S only for the full system, since the
+    # chain is connected, so below saturation some bit is set.
+    def pure_run(s: int) -> int:
+        fresh = _closed(s, g) & ~s
         event = 0
-        for c, nbrs in twists:
-            for n in nbrs:
-                event |= on[n] & ~on[c]
-        return (event & -event).bit_length() - 1 if event else None
+        for c in twist_curves:
+            event |= _orbit(fresh, g, c)
+        return (event & -event).bit_length() - 1
 
-    s = start_bit
-    events = [(0, s, blocked)]
-    best_k = None
+    s = 1 << (g - 1)  # a_g
+    events = [(0, s)]
     k = 0
     while k < cap:
         k += 1
         before = s
-        for cmask, cbit, nmask in closed:
-            if s & nmask:
+        for cbit, nbrs in twists:
+            if s & nbrs:
                 s |= cbit
-                blocked |= cmask
         pure = s == before
         s = ((s & ~lows) >> 1) | ((s & lows) << shift)
-        blocked = ((blocked & ~lows) >> 1) | ((blocked & lows) << shift)
-        if not_bg & ~blocked:
-            best_k = k
         if not pure:
-            events.append((k, s, blocked))
+            events.append((k, s))
             continue
         if s == full:  # saturated: the support was already full
             break
-        run = pure_run(s)
-        run = cap - k if run is None else min(run, cap - k)
-        if run:
-            # Skip the steps k+1..k+run.  They only rotate the free curves
-            # `full & ~blocked`, and b_g is never the only one: b_i outside
-            # the closed neighborhood of the support leaves a_i outside too.
-            # So either every skipped step is certified or none is.
-            k += run
-            s = _rotate(s, g, run % g)
-            blocked = _rotate(blocked, g, run % g)
-            if not_bg & ~blocked:
-                best_k = k
+        # Skip the steps k+1..k+run: they only rotate the support.
+        run = min(pure_run(s), cap - k)
+        k += run
+        s = _rotate(s, g, run)
 
+    best_k = next((j - 1 for j, x in events if _closed(x, g) == full), k) or None
     bound = Fraction(2, best_k) if best_k else None
     return TraceResult(
         genus=genus,

@@ -136,14 +136,12 @@ def scaled_bound(bound: Fraction, power: int) -> Fraction:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All bounds known for one surface, exact where possible."""
+    """The exact bounds known for one surface, checked against each other."""
 
     surface: SurfaceSig
     lower: Fraction
     upper_closed: Fraction | None = None
-    upper_flm: float | None = None
     upper_penner: Fraction | None = None
-    certificate_k: int | None = None
 
     def validate(self) -> None:
         """Check the sandwich invariants that hold whenever fields are set."""

@@ -193,10 +193,10 @@ def test_penner_report_without_certificates(capsys, monkeypatch):
     """No real cap up to genus 40 leaves a trace with no certificate, but
     the writer must still give null bound and best_k, an empty certificate
     list and a failed verdict."""
-    # One event per step, each with every curve blocked: the replay gives
-    # back `masks` and no certificate.
-    masks = trace(3, 2).masks
-    events = tuple((k, mask, (1 << 9) - 1) for k, mask in enumerate(masks))
+    # Every support is the whole genus-3 system, so its closed neighbourhood
+    # leaves no witness: the replay gives back `masks` and no certificate.
+    masks = ((1 << 9) - 1,) * 3
+    events = tuple(enumerate(masks))
     empty = TraceResult(genus=3, cap=2, events=events, steps=len(masks) - 1, best_k=None, bound=None)
     assert empty.masks == masks and empty.certificates == ()
     monkeypatch.setattr(cli, "trace", lambda genus, cap: empty)

@@ -11,7 +11,7 @@ import curvebounds
 SRC = Path(curvebounds.__file__).parent
 
 # The names surfaces.py binds for the comparison bound, and its math import.
-FLM_BOUND = frozenset({"math", "_FLM_NUMERATOR", "flm_upper_bound", "upper_flm"})
+FLM_BOUND = frozenset({"math", "_FLM_NUMERATOR", "flm_upper_bound"})
 
 
 def _binds(node: ast.AST) -> set[str]:

@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from curvebounds.penner import BaseCurve, _orbit, _rotate, k_star, penner_upper_bound, trace
+from curvebounds.penner import (
+    BaseCurve,
+    _closed,
+    _orbit,
+    _rotate,
+    k_star,
+    penner_upper_bound,
+    trace,
+)
 from curvebounds.surfaces import translation_length_upper_bound
 
 from helpers import (
@@ -112,6 +120,22 @@ def test_rotation_and_orbit_words():
                 assert word == sum((_rotate(x, g, j) >> c & 1) << j for j in range(g)), (g, c)
 
 
+def test_closed_neighbourhood():
+    """`_closed(x, g)` is the set model's closed neighbourhood N[S], and it
+    commutes with every index rotation."""
+    rng = rng_for("penner-closed")
+    for g in range(2, 10):
+        system = PennerSystem(g)
+        cids = {c: "abc".index(c.family) * g + c.index - 1 for c in system.curves()}
+        for _ in range(10):
+            support = frozenset(c for c in system.curves() if rng.random() < 0.3)
+            near = support.union(*(system.neighbors(c) for c in support))
+            x = sum(1 << cids[c] for c in support)
+            assert _closed(x, g) == sum(1 << cids[c] for c in near), (g, support)
+            for j in range(g):
+                assert _closed(_rotate(x, g, j), g) == _rotate(_closed(x, g), g, j), (g, j)
+
+
 def test_step_by_hand_genus2():
     sys_ = PennerSystem(2)
     s = curves("a2")
@@ -178,6 +202,12 @@ def test_trace_matches_set_implementation():
 def _assert_same_trace(genus, cap):
     t, ref = trace(genus, cap), step_trace(genus, cap)
     assert t.masks == ref.masks, (genus, cap)
+    # `events` is S_0 and then (k, S_k) for exactly the steps k whose support
+    # is not the rotation of the one before.
+    changed = [
+        (k, m) for k, m in enumerate(ref.masks) if k and m != _rotate(ref.masks[k - 1], genus, 1)
+    ]
+    assert t.events == ((0, ref.masks[0]), *changed), (genus, cap)
     assert t.certificates == ref.certificates, (genus, cap)
     assert (t.best_k, t.bound) == (ref.best_k, ref.bound), (genus, cap)
     assert len(t.masks) == len(ref.masks) == t.steps + 1, (genus, cap)
@@ -202,11 +232,12 @@ def test_trace_best_k_matches_step_oracle_large_genus(genus):
 
 
 def test_trace_events_are_bounded():
-    """popcount(support) and popcount(blocked) never fall, so at most 6g
-    steps do more than rotate; every other step is skipped."""
+    """Each step that does more than rotate adds at least one of the 3g - 1
+    curves missing from S_0 = {a_g}, so there are at most 3g events with
+    S_0; every other step is skipped."""
     for g in range(2, 201):
         t = trace(g)
-        assert len(t.events) <= 6 * g + 1, g
+        assert len(t.events) <= 3 * g, g
         assert t.events[0][0] == 0 and t.steps < 3 * g * g, g
 
 

@@ -178,9 +178,7 @@ def test_bound_report_validate():
         surface=sig,
         lower=translation_length_lower_bound(sig),
         upper_closed=translation_length_upper_bound(2),
-        upper_flm=flm_upper_bound(2),
         upper_penner=Fraction(1),
-        certificate_k=2,
     )
     report.validate()
 
