@@ -30,7 +30,6 @@ from .pfmatrix import (
 )
 from .penner import (
     BaseCurve,
-    NoCertificateError,
     TraceResult,
     k_star,
     penner_upper_bound,

@@ -132,8 +132,8 @@ def _json_list(items: Iterable[str], depth: int, quote: str = "") -> str:
 def run_penner(genus: int, cap: int | None, as_json: bool) -> int:
     result = trace(genus, cap)
     upper = translation_length_upper_bound(genus)
-    ok = result.bound is not None and result.bound <= upper
-    bound = frac_str(result.bound) if result.bound is not None else None
+    ok = result.bound <= upper
+    bound = frac_str(result.bound)
     # The supports are O(g^3) bytes, so they are written one at a time as
     # they are replayed and never held as a whole report.
     write = sys.stdout.write
@@ -196,7 +196,7 @@ def run_pf(input_path: str, as_json: bool) -> int:
     lines = [
         f"matrix {m.rows}x{m.cols}",
         f"irreducible: {'yes' if irr else 'no'}",
-        f"q (least power with a positive diagonal entry): {payload['q']}",
+        f"q (least power with a positive diagonal entry): {q}",
         "primitivity exponent: "
         + (str(exponent) if exponent is not None else "not primitive"),
     ]
@@ -266,7 +266,6 @@ def run_track(input_path: str, as_json: bool) -> int:
         checks["euler"] = False
         payload["euler_error"] = str(exc)
         lines.append(f"euler consistency: FAIL ({exc})")
-        report = None
     else:
         checks["euler"] = True
         lines.append("euler consistency: PASS")

@@ -33,7 +33,6 @@ from typing import NamedTuple
 __all__ = [
     "BaseCurve",
     "TraceResult",
-    "NoCertificateError",
     "trace",
     "k_star",
     "penner_upper_bound",
@@ -41,10 +40,6 @@ __all__ = [
 
 FAMILIES = ("a", "b", "c")
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-class NoCertificateError(RuntimeError):
-    """The trace found no iterate with a distance-2 certificate."""
 
 
 class BaseCurve(NamedTuple):
@@ -104,16 +99,14 @@ class TraceResult:
     rotation, from the start (k = 0); every other step up to K = `steps`
     only rotates the support.  `masks` (the supports S_k), `certificates`
     and `supports` are rebuilt from it by replaying rotations on first use.
-    The certified iterates are exactly 1..`best_k`, and
-    `bound * best_k == 2` whenever there is one.
+    The certified iterates are exactly 1..`best_k`, and `bound` is 2/`best_k`.
     """
 
     genus: int
     cap: int
     events: tuple[tuple[int, int], ...]
     steps: int
-    best_k: int | None
-    bound: Fraction | None
+    best_k: int
 
     def _replay(self, closed: bool = False) -> Iterator[int]:
         """S_k, or N[S_k] when `closed`, after each step k = 0..steps."""
@@ -128,6 +121,11 @@ class TraceResult:
                 yield x
                 x = ((x & ~lows) >> 1) | ((x & lows) << shift)
 
+    @property
+    def bound(self) -> Fraction:
+        """The exact upper bound 2/`best_k` on the translation length."""
+        return Fraction(2, self.best_k)
+
     @cached_property
     def masks(self) -> tuple[int, ...]:
         """Support bitmask S_k for k = 0..steps."""
@@ -140,7 +138,7 @@ class TraceResult:
         g = self.genus
         not_bg = ((1 << 3 * g) - 1) & ~(1 << (2 * g - 1))
         out = []
-        for k, near in islice(enumerate(self._replay(closed=True)), 1, (self.best_k or 0) + 1):
+        for k, near in islice(enumerate(self._replay(closed=True)), 1, self.best_k + 1):
             free = not_bg & ~near
             low = (free & -free).bit_length() - 1
             out.append((k, _curve(FAMILIES[low // g], low % g + 1)))
@@ -185,7 +183,9 @@ def trace(genus: int, cap: int | None = None) -> TraceResult:
     system, since b_i outside it leaves a_i outside too.  N commutes with the
     rotation and a twist only adds curves, so once N[S_k] is everything it
     stays so: the certified steps are 1 up to the one before the first event
-    with a full N[S_k].
+    with a full N[S_k].  Step 1 only rotates a_g, which meets no neighbour
+    of a twist curve, to a_{g-1}, and N[{a_{g-1}}] = {a_{g-1}, b_{g-1}}; so
+    the first such event comes at k >= 2 and `best_k` >= 1.
     """
     g = genus
     if g < 2:
@@ -236,23 +236,11 @@ def trace(genus: int, cap: int | None = None) -> TraceResult:
         k += run
         s = _rotate(s, g, run)
 
-    best_k = next((j - 1 for j, x in events if _closed(x, g) == full), k) or None
-    bound = Fraction(2, best_k) if best_k else None
-    return TraceResult(
-        genus=genus,
-        cap=cap,
-        events=tuple(events),
-        steps=k,
-        best_k=best_k,
-        bound=bound,
-    )
+    best_k = next((j - 1 for j, x in events if _closed(x, g) == full), k)
+    return TraceResult(genus=genus, cap=cap, events=tuple(events), steps=k, best_k=best_k)
 
 
 def penner_upper_bound(genus: int, cap: int | None = None) -> tuple[int, Fraction]:
     """Best certified iterate and the exact bound 2/k it yields."""
-    result = trace(genus, cap)
-    if result.best_k is None:
-        raise NoCertificateError(
-            f"no certified iterate for genus {genus} within cap {result.cap}"
-        )
-    return result.best_k, result.bound
+    r = trace(genus, cap)
+    return r.best_k, r.bound

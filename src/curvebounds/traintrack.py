@@ -155,12 +155,6 @@ class TrainTrack:
     def num_branches(self) -> int:
         return len(self.branches)
 
-    def branch_named(self, name: str) -> Branch:
-        for b in self.branches:
-            if b.name == name:
-                return b
-        raise KeyError(name)
-
 
 # --- measures ---------------------------------------------------------------
 

@@ -603,7 +603,7 @@ def reference_penner_report(result: TraceResult, as_json: bool) -> tuple[str, in
     from the `supports` frozensets and printed whole."""
     genus = result.genus
     upper = translation_length_upper_bound(genus)
-    ok = result.bound is not None and result.bound <= upper
+    ok = result.bound <= upper
     supports = [sorted(str(c) for c in s) for s in result.supports]
     payload = {
         "genus": genus,
@@ -611,7 +611,7 @@ def reference_penner_report(result: TraceResult, as_json: bool) -> tuple[str, in
         "supports": supports,
         "certificates": [[k, str(w)] for k, w in result.certificates],
         "best_k": result.best_k,
-        "bound": frac_str(result.bound) if result.bound is not None else None,
+        "bound": frac_str(result.bound),
         "upper_closed": frac_str(upper),
         "pass": ok,
     }

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import curvebounds
-from curvebounds import cli
 from curvebounds.cli import main, run_bounds, run_penner
 from curvebounds.fileio import data_path, format_track
 from curvebounds.penner import TraceResult, trace
@@ -187,27 +186,6 @@ def test_penner_report_bytes_match_reference(capsys, genus):
         for as_json in (False, True):
             code = run_penner(genus, cap, as_json)
             assert (capsys.readouterr().out, code) == reference_penner_report(result, as_json)
-
-
-def test_penner_report_without_certificates(capsys, monkeypatch):
-    """No real cap up to genus 40 leaves a trace with no certificate, but
-    the writer must still give null bound and best_k, an empty certificate
-    list and a failed verdict."""
-    # Every support is the whole genus-3 system, so its closed neighbourhood
-    # leaves no witness: the replay gives back `masks` and no certificate.
-    masks = ((1 << 9) - 1,) * 3
-    events = tuple(enumerate(masks))
-    empty = TraceResult(genus=3, cap=2, events=events, steps=len(masks) - 1, best_k=None, bound=None)
-    assert empty.masks == masks and empty.certificates == ()
-    monkeypatch.setattr(cli, "trace", lambda genus, cap: empty)
-    for as_json in (False, True):
-        code = run_penner(3, 2, as_json)
-        out = capsys.readouterr().out
-        assert (out, code) == reference_penner_report(empty, as_json)
-        assert code == 1
-    payload = json.loads(out)
-    assert payload["best_k"] is None and payload["bound"] is None
-    assert payload["certificates"] == [] and payload["pass"] is False
 
 
 def test_bounds_reads_best_k_only(capsys, monkeypatch):

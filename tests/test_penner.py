@@ -210,6 +210,7 @@ def _assert_same_trace(genus, cap):
     assert t.events == ((0, ref.masks[0]), *changed), (genus, cap)
     assert t.certificates == ref.certificates, (genus, cap)
     assert (t.best_k, t.bound) == (ref.best_k, ref.bound), (genus, cap)
+    assert t.best_k >= 1 and t.bound == Fraction(2, t.best_k), (genus, cap)
     assert len(t.masks) == len(ref.masks) == t.steps + 1, (genus, cap)
 
 
@@ -234,11 +235,13 @@ def test_trace_best_k_matches_step_oracle_large_genus(genus):
 def test_trace_events_are_bounded():
     """Each step that does more than rotate adds at least one of the 3g - 1
     curves missing from S_0 = {a_g}, so there are at most 3g events with
-    S_0; every other step is skipped."""
+    S_0; every other step is skipped.  Step 1 only rotates: a_g meets no
+    neighbour of a twist curve."""
     for g in range(2, 201):
         t = trace(g)
         assert len(t.events) <= 3 * g, g
         assert t.events[0][0] == 0 and t.steps < 3 * g * g, g
+        assert t.events[1][0] >= 2, g
 
 
 def test_trace_supports_grow_until_saturation():
@@ -246,6 +249,13 @@ def test_trace_supports_grow_until_saturation():
         sup = trace(g).supports
         for early, late in zip(sup[:-1], sup[1:]):
             assert len(early) <= len(late)
+
+
+def test_first_step_is_certified():
+    """S_1 = {a_(g-1)} leaves all but two curves outside N[S_1], so one
+    iterate always certifies k = 1."""
+    for g in range(2, 401):
+        assert trace(g, 1).best_k == 1, g
 
 
 def test_trace_cap():

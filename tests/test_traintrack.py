@@ -94,10 +94,9 @@ def test_valid_track_accessors():
     t = barbell()
     assert t.num_switches == 2 and t.num_branches == 3
     assert t.valence("L") == 3
-    assert t.branch_named("bar").ends[1] == end("R", 0, 0)
+    [bar] = [b for b in t.branches if b.name == "bar"]
+    assert bar.ends[1] == end("R", 0, 0)
     assert [b for b, _ in t.side_ends("L", 0)] == [0, 0]
-    with pytest.raises(KeyError):
-        t.branch_named("nope")
 
 
 def test_duplicate_branch_names_rejected():
