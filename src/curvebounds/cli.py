@@ -389,6 +389,11 @@ def main(argv: list[str] | None = None) -> int:
         # is still empty.
         print("error: input too large for available memory", file=sys.stderr)
         return 2
+    except OverflowError:
+        # A genus past the range of Python's int shifts or of a float, such
+        # as 10**30; stdout is still empty for the same reason.
+        print("error: input too large to compute with", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # The reader closed stdout.  Point fd 1 at devnull so that the flush
         # at interpreter exit cannot fail again.

@@ -11,13 +11,14 @@ upper bounds 2/k.
 The trace runs on int bitmasks, one bit per curve: family f (a, b, c =
 0, 1, 2) and index i give bit f*g + i - 1.  Almost every step only rotates
 each family's g-bit row, and at most 3g - 1 steps do more, since each of
-them adds a curve to the support.  So the trace jumps along rotation
-orbits: after a pure rotation it reads the length of the run of rotations
-that follows off g-bit words of the support, and skips it.  The work is
-O(g) events of O(g)-bit operations; the per-step supports and
-certificates are rebuilt on demand by replaying the rotations.  The test
-suite cross-checks it against an independent set-based model of the same
-system and against the plain step-by-step loop.
+them adds a curve to the support.  So the trace makes one pass per such
+event: it reads the number of pure rotations before the event off the
+closed neighbourhood of the support, skips them, and makes the event's
+step.  The work is O(g) events of O(g)-bit operations; the per-step
+supports and certificates are rebuilt on demand by replaying the
+rotations.  The test suite cross-checks it against an independent
+set-based model of the same system and against the plain step-by-step
+loop.
 """
 
 from __future__ import annotations
@@ -68,15 +69,6 @@ def _rotate(x: int, g: int, j: int) -> int:
     the curve of index i moves to index i - j (mod g)."""
     lo = ((1 << j) - 1) * (1 | 1 << g | 1 << 2 * g)
     return ((x & ~lo) >> j) | ((x & lo) << (g - j))
-
-
-def _orbit(x: int, g: int, c: int) -> int:
-    """The g-bit word whose bit j is bit c of `_rotate(x, g, j)`: bit
-    (p + j) mod g of the row of curve c, which sits at place p in it."""
-    f, p = divmod(c, g)
-    mask = (1 << g) - 1
-    row = (x >> f * g) & mask
-    return ((row >> p) | (row << (g - p))) & mask
 
 
 def _closed(x: int, g: int) -> int:
@@ -186,6 +178,10 @@ def trace(genus: int, cap: int | None = None) -> TraceResult:
     with a full N[S_k].  Step 1 only rotates a_g, which meets no neighbour
     of a twist curve, to a_{g-1}, and N[{a_{g-1}}] = {a_{g-1}, b_{g-1}}; so
     the first such event comes at k >= 2 and `best_k` >= 1.
+
+    Each pass of the loop handles one event: it skips the pure rotations
+    before it, makes its step and computes its N[S_k], which gives both the
+    next pass's run and `best_k`.
     """
     g = genus
     if g < 2:
@@ -196,51 +192,51 @@ def trace(genus: int, cap: int | None = None) -> TraceResult:
         raise ValueError(f"cap must be >= 1, got {cap}")
 
     full = (1 << 3 * g) - 1
+    mask = (1 << g) - 1
     lows = 1 | (1 << g) | (1 << 2 * g)  # the three index-1 bits
     shift = g - 1
     # The twist curves a_1, b_1, c_1 in twist order, each with the curves it
     # meets.
-    twist_curves = (0, g, 2 * g)
-    twists = [(1 << c, _closed(1 << c, g) & ~(1 << c)) for c in twist_curves]
+    twists = [(1 << c, _closed(1 << c, g) & ~(1 << c)) for c in (0, g, 2 * g)]
 
     # A step is a pure rotation unless some twist curve lies in N[S] but not
-    # in S.  The orbit word of each twist curve gives that test for every
-    # j < g rotations at once; its least set bit is the number of pure
-    # rotations that follow.  N[S] = S only for the full system, since the
-    # chain is connected, so below saturation some bit is set.
-    def pure_run(s: int) -> int:
-        fresh = _closed(s, g) & ~s
-        event = 0
-        for c in twist_curves:
-            event |= _orbit(fresh, g, c)
-        return (event & -event).bit_length() - 1
-
+    # in S.  N commutes with the rotation, so bit j of a family's row of
+    # N[S] \ S says whether its twist curve would be that after j rotations;
+    # the least set bit over the three rows is the number of pure rotations
+    # before the next step that adds a curve.  N[S] = S only for the full
+    # system, since the chain is connected.
     s = 1 << (g - 1)  # a_g
+    near = _closed(s, g)
     events = [(0, s)]
+    best_k = None
     k = 0
     while k < cap:
+        fresh = near & ~s
+        if not fresh:  # the full system: the next step repeats it
+            k += 1
+            break
+        word = (fresh | fresh >> g | fresh >> 2 * g) & mask
+        run = min((word & -word).bit_length() - 1, cap - k)
+        s = _rotate(s, g, run)
+        k += run
+        if k == cap:
+            break
         k += 1
-        before = s
         for cbit, nbrs in twists:
             if s & nbrs:
                 s |= cbit
-        pure = s == before
         s = ((s & ~lows) >> 1) | ((s & lows) << shift)
-        if not pure:
-            events.append((k, s))
-            continue
-        if s == full:  # saturated: the support was already full
-            break
-        # Skip the steps k+1..k+run: they only rotate the support.
-        run = min(pure_run(s), cap - k)
-        k += run
-        s = _rotate(s, g, run)
+        events.append((k, s))
+        near = _closed(s, g)
+        if best_k is None and near == full:
+            best_k = k - 1
 
-    best_k = next((j - 1 for j, x in events if _closed(x, g) == full), k)
+    if best_k is None:
+        best_k = k
     return TraceResult(genus=genus, cap=cap, events=tuple(events), steps=k, best_k=best_k)
 
 
-def penner_upper_bound(genus: int, cap: int | None = None) -> tuple[int, Fraction]:
+def penner_upper_bound(genus: int) -> tuple[int, Fraction]:
     """Best certified iterate and the exact bound 2/k it yields."""
-    r = trace(genus, cap)
+    r = trace(genus)
     return r.best_k, r.bound

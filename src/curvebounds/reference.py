@@ -21,6 +21,7 @@ from .traintrack import (
     BranchEnd,
     RegionAttachment,
     TrainTrack,
+    _chords,
     add_diagonals,
     boundary_cycles,
 )
@@ -99,13 +100,7 @@ def build_spine(genus: int, corners: tuple[int, ...]) -> TrainTrack:
 def fan_selection(cusp_count: int, apex: int) -> list[tuple[int, tuple[int, int]]]:
     """Chords of the polygon region joining the apex cusp to every
     non-adjacent cusp, as (cycle 0, sorted position pair) entries."""
-    out = []
-    for beta in range(cusp_count):
-        if beta == apex or (beta - apex) % cusp_count in (1, cusp_count - 1):
-            continue
-        out.append((0, (min(apex, beta), max(apex, beta))))
-    out.sort()
-    return out
+    return [(0, c) for c in _chords(cusp_count) if apex in c]
 
 
 def spine_attachment(genus: int) -> RegionAttachment:

@@ -520,13 +520,16 @@ def _assert_one_error_line(proc, err: bytes) -> None:
     [
         ["penner", "--genus", "1000000000000"],
         ["bounds", "--genus-min", "1000000000000", "--genus-max", "1000000000000"],
+        ["penner", "--genus", str(10**30)],
+        ["bounds", "--genus-min", str(10**30), "--genus-max", str(10**30)],
     ],
-    ids=["penner", "bounds"],
+    ids=["penner", "bounds", "penner-1e30", "bounds-1e30"],
 )
 def test_huge_genus_out_of_memory_exits_2_with_one_line(args):
-    """The Penner trace of this genus needs a 3-terabit mask, so under a
+    """The Penner trace of genus 10**12 needs a 3-terabit mask, so under a
     1 GiB address-space limit (set in the child only) it runs out of memory
-    at once; that is unusable input, not a crash."""
+    at once; at genus 10**30 the mask's shift overflows Python's int.  Both
+    are unusable input, not a crash."""
     with _cli_subprocess(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                          preexec_fn=partial(_limit_address_space, 1 << 30)) as proc:
         out, err = proc.communicate(timeout=60)

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from curvebounds import penner
 from curvebounds.penner import (
     BaseCurve,
     _closed,
-    _orbit,
     _rotate,
     k_star,
     penner_upper_bound,
@@ -103,8 +103,7 @@ def test_rotate():
 
 
 def test_rotation_and_orbit_words():
-    """`_rotate(x, g, j)` is j index rotations of the set model, and bit j
-    of `_orbit(x, g, c)` is bit c after them."""
+    """`_rotate(x, g, j)` is j index rotations of the set model."""
     rng = rng_for("penner-orbit")
     for g in range(2, 10):
         system = PennerSystem(g)
@@ -115,9 +114,6 @@ def test_rotation_and_orbit_words():
             for j in range(g):
                 assert _rotate(x, g, j) == sum(1 << cids[c] for c in support), (g, j)
                 support = rotate(system, support)
-            for c in range(3 * g):
-                word = _orbit(x, g, c)
-                assert word == sum((_rotate(x, g, j) >> c & 1) << j for j in range(g)), (g, c)
 
 
 def test_closed_neighbourhood():
@@ -242,6 +238,24 @@ def test_trace_events_are_bounded():
         assert len(t.events) <= 3 * g, g
         assert t.events[0][0] == 0 and t.steps < 3 * g * g, g
         assert t.events[1][0] >= 2, g
+
+
+def test_trace_closes_each_event_once(monkeypatch):
+    """`trace()` computes N[S] once per event, plus once for each of the
+    three twist curves' neighbours, and never again after its loop."""
+    calls = 0
+    closed = penner._closed
+
+    def counted(x, g):
+        nonlocal calls
+        calls += 1
+        return closed(x, g)
+
+    monkeypatch.setattr(penner, "_closed", counted)
+    for g in range(2, 201):
+        calls = 0
+        t = trace(g)
+        assert calls <= len(t.events) + 3, (g, calls, len(t.events))
 
 
 def test_trace_supports_grow_until_saturation():
