@@ -16,41 +16,9 @@ import os
 import sys
 from collections.abc import Iterable
 
-from .fileio import (
-    MatrixFileError,
-    TrackFileError,
-    frac_str,
-    load_matrix,
-    load_track,
-    track_to_json,
-)
-from .penner import penner_upper_bound, trace
-from .pfmatrix import (
-    BlockTransition,
-    NotIrreducibleError,
-    full_spread_power,
-    min_positive_diagonal_power,
-    primitivity_exponent,
-)
-from .surfaces import (
-    BoundReport,
-    SporadicSurfaceError,
-    SurfaceSig,
-    cusp_bound,
-    flm_upper_bound,
-    lower_bound_coefficient,
-    punctured_genus2_upper_bound,
-    translation_length_lower_bound,
-    translation_length_upper_bound,
-)
-from .traintrack import (
-    TrackStructureError,
-    branch_count_report,
-    classify_regions,
-    is_recurrent,
-    total_cusps,
-    unrouted_branches,
-)
+# Modules, not names: the package loads each one at its first attribute
+# lookup, so a subcommand runs only the engines it calls.
+from . import fileio, penner, pfmatrix, surfaces, traintrack
 
 __all__ = ["main", "run_bounds", "run_penner", "run_pf", "run_track"]
 
@@ -69,26 +37,27 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
 def _bounds_row(genus: int, punctures: int) -> dict:
     row: dict = {"genus": genus, "punctures": punctures}
     try:
-        sig = SurfaceSig(genus, punctures)
-        lower = translation_length_lower_bound(sig)
-        row["lower"] = frac_str(lower)
+        sig = surfaces.SurfaceSig(genus, punctures)
+        lower = surfaces.translation_length_lower_bound(sig)
+        row["lower"] = fileio.frac_str(lower)
         if punctures == 0:
-            upper = translation_length_upper_bound(genus)
-            flm = flm_upper_bound(genus)
-            k, penner_bound = penner_upper_bound(genus)
-            BoundReport(
+            upper = surfaces.translation_length_upper_bound(genus)
+            flm = surfaces.flm_upper_bound(genus)
+            k, penner_bound = penner.penner_upper_bound(genus)
+            surfaces.BoundReport(
                 surface=sig,
                 lower=lower,
                 upper_closed=upper,
                 upper_penner=penner_bound,
             ).validate()
-            row["upper_closed"] = frac_str(upper)
+            row["upper_closed"] = fileio.frac_str(upper)
             row["flm_upper_float64"] = flm
             row["penner_k"] = k
-            row["penner_upper"] = frac_str(penner_bound)
+            row["penner_upper"] = fileio.frac_str(penner_bound)
         if genus == 2 and punctures >= 5:
-            row["genus2_upper"] = frac_str(punctured_genus2_upper_bound(punctures))
-    except SporadicSurfaceError:
+            upper2 = surfaces.punctured_genus2_upper_bound(punctures)
+            row["genus2_upper"] = fileio.frac_str(upper2)
+    except surfaces.SporadicSurfaceError:
         return {"genus": genus, "punctures": punctures, "error": "sporadic"}
     except ValueError as exc:
         return {"genus": genus, "punctures": punctures, "error": str(exc)}
@@ -130,10 +99,10 @@ def _json_list(items: Iterable[str], depth: int, quote: str = "") -> str:
 
 
 def run_penner(genus: int, cap: int | None, as_json: bool) -> int:
-    result = trace(genus, cap)
-    upper = translation_length_upper_bound(genus)
+    result = penner.trace(genus, cap)
+    upper = surfaces.translation_length_upper_bound(genus)
     ok = result.bound <= upper
-    bound = frac_str(result.bound)
+    bound = fileio.frac_str(result.bound)
     # The supports are O(g^3) bytes, so they are written one at a time as
     # they are replayed and never held as a whole report.
     write = sys.stdout.write
@@ -145,7 +114,7 @@ def run_penner(genus: int, cap: int | None, as_json: bool) -> int:
             write(f"certified k={k} witness={w}\n")
         write(f"best_k={result.best_k} bound={bound}\n")
         verdict = "PASS" if ok else "FAIL"
-        write(f"2/{result.best_k} <= 4/(g^2+g-4) = {frac_str(upper)}: {verdict}\n")
+        write(f"2/{result.best_k} <= 4/(g^2+g-4) = {fileio.frac_str(upper)}: {verdict}\n")
         return 0 if ok else 1
     # The bytes of json.dumps(payload, indent=2, sort_keys=True): the keys
     # are written in sorted order.  Curve names are letters and digits.
@@ -160,7 +129,7 @@ def run_penner(genus: int, cap: int | None, as_json: bool) -> int:
     )
     for k, names in enumerate(result.sorted_names()):
         write(("\n    " if k == 0 else ",\n    ") + _json_list(names, 2, '"'))
-    write(f'\n  ],\n  "upper_closed": {dump(frac_str(upper))}\n}}\n')
+    write(f'\n  ],\n  "upper_closed": {dump(fileio.frac_str(upper))}\n}}\n')
     return 0 if ok else 1
 
 
@@ -169,8 +138,8 @@ def run_penner(genus: int, cap: int | None, as_json: bool) -> int:
 
 def run_pf(input_path: str, as_json: bool) -> int:
     try:
-        doc = load_matrix(input_path)
-    except (MatrixFileError, OSError) as exc:
+        doc = fileio.load_matrix(input_path)
+    except (fileio.MatrixFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     m = doc.matrix
@@ -181,12 +150,12 @@ def run_pf(input_path: str, as_json: bool) -> int:
         print('error: "real:" and "surface:" lines must appear together', file=sys.stderr)
         return 2
     try:
-        q = min_positive_diagonal_power(m)
-    except NotIrreducibleError:
+        q = pfmatrix.min_positive_diagonal_power(m)
+    except pfmatrix.NotIrreducibleError:
         q = None
     irr = q is not None
     # A positive power forces irreducibility, so skip the search otherwise.
-    exponent = primitivity_exponent(m) if irr else None
+    exponent = pfmatrix.primitivity_exponent(m) if irr else None
     payload: dict = {
         "dim": m.rows,
         "irreducible": irr,
@@ -203,15 +172,15 @@ def run_pf(input_path: str, as_json: bool) -> int:
     exit_code = 0
     if doc.real_set is not None:
         try:
-            bt = BlockTransition(m, doc.real_set, doc.surface)
-            k = full_spread_power(bt)
+            bt = pfmatrix.BlockTransition(m, doc.real_set, doc.surface)
+            k = pfmatrix.full_spread_power(bt)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         rq = bt.q
         i = k - 2 * bt.r * rq  # the cover time, as k = 2rq + i
         chi = doc.surface.chi
-        coeff = lower_bound_coefficient(doc.surface)
+        coeff = surfaces.lower_bound_coefficient(doc.surface)
         k_bound = coeff * chi * chi
         ok = k < k_bound
         payload["block"] = {
@@ -239,8 +208,8 @@ def run_pf(input_path: str, as_json: bool) -> int:
 
 def run_track(input_path: str, as_json: bool) -> int:
     try:
-        doc = load_track(input_path)
-    except (TrackFileError, OSError) as exc:
+        doc = fileio.load_track(input_path)
+    except (fileio.TrackFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     payload: dict = {}
@@ -248,7 +217,7 @@ def run_track(input_path: str, as_json: bool) -> int:
     checks: dict[str, bool] = {}
     try:
         track, attachment = doc.build()
-    except TrackStructureError as exc:
+    except traintrack.TrackStructureError as exc:
         checks["structure"] = False
         payload["checks"] = checks
         payload["structure_error"] = str(exc)
@@ -257,12 +226,12 @@ def run_track(input_path: str, as_json: bool) -> int:
         return 1
     checks["structure"] = True
     lines.append("structure (valences, sides, slots): PASS")
-    payload["echo"] = track_to_json(track, attachment)
+    payload["echo"] = fileio.track_to_json(track, attachment)
 
     sig = attachment.surface
     try:
-        report = classify_regions(track, attachment)
-    except TrackStructureError as exc:
+        report = traintrack.classify_regions(track, attachment)
+    except traintrack.TrackStructureError as exc:
         checks["euler"] = False
         payload["euler_error"] = str(exc)
         lines.append(f"euler consistency: FAIL ({exc})")
@@ -278,11 +247,13 @@ def run_track(input_path: str, as_json: bool) -> int:
             f"maximal: {'yes' if report.is_maximal else 'no'}"
         )
 
-    dead = unrouted_branches(track)
+    dead = traintrack.unrouted_branches(track)
     checks["recurrent"] = not dead
     if not dead:
-        witness = is_recurrent(track)[1]
-        payload["witness"] = {name: frac_str(w) for name, w in sorted(witness.items())}
+        witness = traintrack.is_recurrent(track)[1]
+        payload["witness"] = {
+            name: fileio.frac_str(w) for name, w in sorted(witness.items())
+        }
         lines.append("recurrence: PASS (positive witness measure found)")
     else:
         # Name one dead branch and the count, not the list: a large track
@@ -294,7 +265,7 @@ def run_track(input_path: str, as_json: bool) -> int:
             f"first: {dead[0]})"
         )
 
-    counts = branch_count_report(track, sig)
+    counts = traintrack.branch_count_report(track, sig)
     checks["branch_total"] = counts.total_ok
     checks["real_count"] = counts.real_ok
     payload["branch_counts"] = {
@@ -312,7 +283,7 @@ def run_track(input_path: str, as_json: bool) -> int:
         + ("PASS" if counts.real_ok else "FAIL")
     )
 
-    cusps, bound = total_cusps(track), cusp_bound(sig)
+    cusps, bound = traintrack.total_cusps(track), surfaces.cusp_bound(sig)
     checks["cusp_count"] = cusps <= bound
     payload["cusps"] = {"total": cusps, "bound": bound}
     lines.append(

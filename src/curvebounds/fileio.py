@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .pfmatrix import IntMatrix
-from .surfaces import SurfaceSig
-from .traintrack import Branch, BranchEnd, RegionAttachment, TrainTrack
+# Modules, not names: a matrix file never loads `traintrack`, nor a track
+# file `pfmatrix`.
+from . import pfmatrix, surfaces, traintrack
 
 __all__ = [
     "MatrixFileError",
@@ -102,9 +102,9 @@ def _data_lines(text: str):
 
 @dataclass(frozen=True)
 class MatrixDocument:
-    matrix: IntMatrix
+    matrix: pfmatrix.IntMatrix
     real_set: frozenset | None
-    surface: SurfaceSig | None
+    surface: surfaces.SurfaceSig | None
 
 
 def parse_matrix_text(text: str) -> MatrixDocument:
@@ -153,10 +153,11 @@ def parse_matrix_text(text: str) -> MatrixDocument:
             items = line[len("surface:"):].split()
             if len(items) != 2 or not all(_is_uint(i) for i in items):
                 raise MatrixFileError(f'line {lineno}: "surface:" needs "g n"')
-            surface = SurfaceSig(*_surface_ints(items, lineno, MatrixFileError))
+            sig = _surface_ints(items, lineno, MatrixFileError)
+            surface = surfaces.SurfaceSig(*sig)
         else:
             raise MatrixFileError(f"line {lineno}: unexpected trailing line {line!r}")
-    return MatrixDocument(IntMatrix(entries), real_set, surface)
+    return MatrixDocument(pfmatrix.IntMatrix(entries), real_set, surface)
 
 
 def load_matrix(path) -> MatrixDocument:
@@ -164,7 +165,9 @@ def load_matrix(path) -> MatrixDocument:
 
 
 def format_matrix(
-    matrix: IntMatrix, real_set=None, surface: SurfaceSig | None = None
+    matrix: pfmatrix.IntMatrix,
+    real_set=None,
+    surface: surfaces.SurfaceSig | None = None,
 ) -> str:
     out = [f"{matrix.rows} {matrix.cols}"]
     for row in matrix.entries:
@@ -181,33 +184,34 @@ def format_matrix(
 
 @dataclass(frozen=True)
 class TrackDocument:
-    surface: SurfaceSig
+    surface: surfaces.SurfaceSig
     switches: tuple[str, ...]
-    branches: tuple[Branch, ...]
+    branches: tuple[traintrack.Branch, ...]
     attach: tuple[tuple[int, int], ...]
 
-    def build(self) -> tuple[TrainTrack, RegionAttachment]:
+    def build(self) -> tuple[traintrack.TrainTrack, traintrack.RegionAttachment]:
         """Construct the validated track and its region attachment.
 
         Raises TrackStructureError when the slot data is inconsistent.
         """
-        track = TrainTrack(self.switches, self.branches)
-        return track, RegionAttachment(surface=self.surface, regions=self.attach)
+        track = traintrack.TrainTrack(self.switches, self.branches)
+        attachment = traintrack.RegionAttachment(surface=self.surface, regions=self.attach)
+        return track, attachment
 
 
-def _parse_end(token: str, lineno: int) -> BranchEnd:
+def _parse_end(token: str, lineno: int) -> traintrack.BranchEnd:
     bits = token.split(":")
     if len(bits) != 3 or not _is_uint(bits[1]) or not _is_uint(bits[2]):
         raise TrackFileError(
             f"line {lineno}: endpoint must be switch:side:slot, got {token!r}"
         )
-    return BranchEnd(bits[0], *_ints(bits[1:], lineno, TrackFileError))
+    return traintrack.BranchEnd(bits[0], *_ints(bits[1:], lineno, TrackFileError))
 
 
 def parse_track_text(text: str) -> TrackDocument:
     surface = None
     switches: list[str] = []
-    branches: list[Branch] = []
+    branches: list[traintrack.Branch] = []
     attach: dict[int, tuple[int, int]] = {}
     attach_max_line = 0
     section = None
@@ -219,7 +223,8 @@ def parse_track_text(text: str) -> TrackDocument:
                 raise TrackFileError(f"line {lineno}: duplicate surface line")
             if len(parts) != 3 or not _is_uint(parts[1]) or not _is_uint(parts[2]):
                 raise TrackFileError(f'line {lineno}: expected "surface g n"')
-            surface = SurfaceSig(*_surface_ints(parts[1:], lineno, TrackFileError))
+            sig = _surface_ints(parts[1:], lineno, TrackFileError)
+            surface = surfaces.SurfaceSig(*sig)
         elif head == "switches":
             section = "switches"
             switches.extend(parts[1:])
@@ -235,9 +240,8 @@ def parse_track_text(text: str) -> TrackDocument:
                     f"line {lineno}: branch needs name, two endpoints and a tag"
                 )
             name, e0, e1, tag = parts
-            branches.append(
-                Branch(name, (_parse_end(e0, lineno), _parse_end(e1, lineno)), tag)
-            )
+            ends = (_parse_end(e0, lineno), _parse_end(e1, lineno))
+            branches.append(traintrack.Branch(name, ends, tag))
         elif section == "attach":
             if len(parts) != 3 or not all(_is_uint(p) for p in parts):
                 raise TrackFileError(
@@ -270,7 +274,7 @@ def load_track(path) -> TrackDocument:
 
 
 def format_track(
-    track: TrainTrack, attachment: RegionAttachment
+    track: traintrack.TrainTrack, attachment: traintrack.RegionAttachment
 ) -> str:
     out = [f"surface {attachment.surface.genus} {attachment.surface.punctures}"]
     out.append("switches " + " ".join(track.switches))
@@ -287,7 +291,9 @@ def format_track(
     return "\n".join(out) + "\n"
 
 
-def track_to_json(track: TrainTrack, attachment: RegionAttachment) -> dict:
+def track_to_json(
+    track: traintrack.TrainTrack, attachment: traintrack.RegionAttachment
+) -> dict:
     """Canonical JSON form of a parsed track (the validator's echo)."""
     return {
         "surface": {

@@ -483,12 +483,60 @@ def test_track_echo_round_trip(capsys):
     assert {"d0", "d1", "d2"} <= names
 
 
-def test_cli_import_does_not_load_numpy():
+# Runs the CLI as `python -m curvebounds.cli` does, then writes which
+# `curvebounds.*` modules have executed.  A module registered lazily by the
+# package is a `_LazyModule` until its first attribute lookup turns it into a
+# plain module; `type()` reads no attribute, so the check loads nothing.
+_MODULE_PROBE = """
+import json, runpy, sys, types
+report = sys.argv.pop(1)
+try:
+    runpy.run_module("curvebounds.cli", run_name="__main__", alter_sys=True)
+finally:
+    executed = [
+        name.partition(".")[2]
+        for name, m in sys.modules.items()
+        if name.startswith("curvebounds.") and type(m) is types.ModuleType
+    ]
+    with open(report, "w") as fh:
+        json.dump({"executed": executed, "numpy": "numpy" in sys.modules}, fh)
+"""
+
+
+@pytest.mark.parametrize(
+    "args, code, executed",
+    [
+        (["bounds", "--genus-min", "2", "--genus-max", "6"], 0,
+         {"surfaces", "penner", "fileio"}),
+        (["penner", "--genus", "4", "--json"], 0, {"surfaces", "penner", "fileio"}),
+        (["pf", "--input", "{matrix}"], 0, {"surfaces", "pfmatrix", "fileio", "_digraph"}),
+        (["track", "--input", "{track}"], 0,
+         {"surfaces", "traintrack", "fileio", "_digraph"}),
+        (["penner"], 2, set()),
+    ],
+    ids=["bounds", "penner", "pf", "track", "usage-error"],
+)
+def test_subcommand_runs_only_its_engine(tmp_path, args, code, executed):
+    """Each subcommand executes only the engine modules it calls, never
+    numpy, and writes nothing to stderr when it succeeds."""
+    matrix = tmp_path / "chain.matrix"
+    matrix.write_text(CHAIN_MATRIX)
+    paths = {"{matrix}": str(matrix), "{track}": str(data_path("genus2_maximal.track"))}
+    report = tmp_path / "modules.json"
     src = Path(curvebounds.__file__).resolve().parents[1]
-    code = "import curvebounds.cli, sys; assert 'numpy' not in sys.modules"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
-    assert result.returncode == 0, result.stderr.decode()
+    result = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, str(report), *(paths.get(a, a) for a in args)],
+        env=env, capture_output=True, timeout=60,
+    )
+    assert result.returncode == code, result.stderr.decode()
+    if code == 0:
+        assert result.stderr == b""
+    else:
+        assert result.stderr.decode().startswith("usage: curvebounds")
+    probe = json.loads(report.read_text())
+    assert set(probe["executed"]) == executed
+    assert not probe["numpy"]
 
 
 def _limit_address_space(nbytes: int) -> None:

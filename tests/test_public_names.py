@@ -3,14 +3,10 @@ resolves, and the package re-exports only names its modules list there."""
 
 from __future__ import annotations
 
-import ast
 import importlib
 import pkgutil
-from pathlib import Path
 
 import curvebounds
-
-SRC = Path(curvebounds.__file__).parent
 
 
 def _modules():
@@ -25,10 +21,19 @@ def test_all_names_resolve():
 
 
 def test_package_exports_are_listed():
-    tree = ast.parse((SRC / "__init__.py").read_text())
-    imports = [n for n in tree.body if isinstance(n, ast.ImportFrom) and n.level == 1]
-    assert imports
-    for node in imports:
-        listed = importlib.import_module(f"curvebounds.{node.module}").__all__
-        for alias in node.names:
-            assert alias.name in listed, (node.module, alias.name)
+    """The package's export table names only names its modules list in
+    `__all__`, and every engine module it registers resolves."""
+    exports = curvebounds._EXPORTS
+    assert exports
+    for name, module in exports.items():
+        assert name in module.__all__, (module.__name__, name)
+        assert getattr(curvebounds, name) is getattr(module, name), name
+    assert curvebounds.__all__ == sorted(exports)
+    assert set(exports) <= set(dir(curvebounds))
+    engines = {"surfaces", "pfmatrix", "penner", "traintrack", "reference", "fileio"}
+    assert {m.__name__ for m in exports.values()} == {f"curvebounds.{e}" for e in engines}
+    for module in set(exports.values()):
+        short = module.__name__.rpartition(".")[2]
+        assert importlib.import_module(module.__name__) is module
+        assert getattr(curvebounds, short) is module
+    assert not hasattr(curvebounds, "no_such_name")

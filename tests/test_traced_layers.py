@@ -2,8 +2,8 @@
 functions by name and counts work by reading what they return.  Every name it
 lists must still resolve in `curvebounds`, and every counter must still run on
 a real return value of its span, or that pass breaks.  The tables are read as
-text; the tracer module is imported only for its counters and never installed
-here."""
+text and the counters run in process without installing the tracer; one test
+per engine installs it in a subprocess, as the benchmark does."""
 
 from __future__ import annotations
 
@@ -11,11 +11,16 @@ import ast
 import functools
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import curvebounds
 from curvebounds.fileio import data_path, load_matrix, load_track
 from curvebounds.penner import TraceResult
 from curvebounds.pfmatrix import BlockTransition, IntMatrix
@@ -105,3 +110,42 @@ def test_counters_run_on_real_results(tmp_path):
         counts = Counter()
         counters[span](counts, args, fn(*args))
         assert counts and all(isinstance(v, int) and v >= 0 for v in counts.values()), span
+
+
+@pytest.mark.parametrize(
+    "args, spans, counts",
+    [
+        (["penner", "--genus", "3"], {"penner.trace"},
+         {"penner.trace.calls", "penner.trace.iterations"}),
+        (["pf", "--input", "{matrix}"],
+         {"fileio.load_matrix", "pfmatrix.primitivity_exponent"},
+         {"fileio.input_bytes", "pfmatrix.primitivity_exponent.bool_products"}),
+        (["track", "--input", "{track}"],
+         {"fileio.load_track", "traintrack.TrainTrack", "traintrack.is_recurrent"},
+         {"fileio.input_bytes", "traintrack.is_recurrent.calls"}),
+    ],
+    ids=["penner", "pf", "track"],
+)
+def test_traced_child_runs_each_engine(tmp_path, args, spans, counts):
+    """The tracer installs right after `import curvebounds.cli` and looks up
+    every layer in `sys.modules` then, so each layer must be registered there
+    by that import, whether or not the job's subcommand uses it."""
+    matrix = tmp_path / "fibonacci.matrix"
+    matrix.write_text("2 2\n1 1\n1 0\n")
+    paths = {"{matrix}": str(matrix), "{track}": str(data_path("genus2_maximal.track"))}
+    out = tmp_path / "spans.json"
+    src = Path(curvebounds.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [str(TRACED_CHILD), str(out), "job", "-m", "curvebounds.cli"]
+    result = subprocess.run(
+        [sys.executable, *argv, *(paths.get(a, a) for a in args)],
+        env=env, capture_output=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stderr == b""
+    data = json.loads(out.read_text())
+    assert data["job"] == "job"
+    names = {span[0] for span in data["spans"]}
+    assert {"cli.main"} | spans <= names
+    assert not any(span[4] for span in data["spans"])
+    assert counts <= set(data["counts"]) and all(data["counts"][c] > 0 for c in counts)
