@@ -34,7 +34,7 @@ _EXPORTS = {
     for module, names in (
         (surfaces, (
             "BoundReport", "SporadicSurfaceError", "SurfaceSig", "flm_upper_bound",
-            "lower_bound_from_spread_time", "punctured_genus2_upper_bound",
+            "frac_str", "lower_bound_from_spread_time", "punctured_genus2_upper_bound",
             "scaled_bound", "translation_length_lower_bound",
             "translation_length_upper_bound",
         )),
@@ -61,7 +61,7 @@ _EXPORTS = {
         )),
         (fileio, (
             "MatrixFileError", "TrackFileError", "data_path", "format_matrix",
-            "format_track", "frac_str", "load_matrix", "load_track",
+            "format_track", "load_matrix", "load_track",
         )),
     )
     for name in names

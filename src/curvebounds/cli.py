@@ -39,7 +39,7 @@ def _bounds_row(genus: int, punctures: int) -> dict:
     try:
         sig = surfaces.SurfaceSig(genus, punctures)
         lower = surfaces.translation_length_lower_bound(sig)
-        row["lower"] = fileio.frac_str(lower)
+        row["lower"] = surfaces.frac_str(lower)
         if punctures == 0:
             upper = surfaces.translation_length_upper_bound(genus)
             flm = surfaces.flm_upper_bound(genus)
@@ -50,13 +50,13 @@ def _bounds_row(genus: int, punctures: int) -> dict:
                 upper_closed=upper,
                 upper_penner=penner_bound,
             ).validate()
-            row["upper_closed"] = fileio.frac_str(upper)
+            row["upper_closed"] = surfaces.frac_str(upper)
             row["flm_upper_float64"] = flm
             row["penner_k"] = k
-            row["penner_upper"] = fileio.frac_str(penner_bound)
+            row["penner_upper"] = surfaces.frac_str(penner_bound)
         if genus == 2 and punctures >= 5:
             upper2 = surfaces.punctured_genus2_upper_bound(punctures)
-            row["genus2_upper"] = fileio.frac_str(upper2)
+            row["genus2_upper"] = surfaces.frac_str(upper2)
     except surfaces.SporadicSurfaceError:
         return {"genus": genus, "punctures": punctures, "error": "sporadic"}
     except ValueError as exc:
@@ -102,7 +102,7 @@ def run_penner(genus: int, cap: int | None, as_json: bool) -> int:
     result = penner.trace(genus, cap)
     upper = surfaces.translation_length_upper_bound(genus)
     ok = result.bound <= upper
-    bound = fileio.frac_str(result.bound)
+    bound = surfaces.frac_str(result.bound)
     # The supports are O(g^3) bytes, so they are written one at a time as
     # they are replayed and never held as a whole report.
     write = sys.stdout.write
@@ -114,13 +114,13 @@ def run_penner(genus: int, cap: int | None, as_json: bool) -> int:
             write(f"certified k={k} witness={w}\n")
         write(f"best_k={result.best_k} bound={bound}\n")
         verdict = "PASS" if ok else "FAIL"
-        write(f"2/{result.best_k} <= 4/(g^2+g-4) = {fileio.frac_str(upper)}: {verdict}\n")
+        write(f"2/{result.best_k} <= 4/(g^2+g-4) = {surfaces.frac_str(upper)}: {verdict}\n")
         return 0 if ok else 1
     # The bytes of json.dumps(payload, indent=2, sort_keys=True): the keys
     # are written in sorted order.  Curve names are letters and digits.
     dump = json.dumps
     certificates = _json_list(
-        (_json_list((dump(k), dump(str(w))), 2) for k, w in result.certificates), 1
+        (_json_list((f"{k}", f'"{w}"'), 2) for k, w in result.certificates), 1
     )
     write(
         f'{{\n  "best_k": {dump(result.best_k)},\n  "bound": {dump(bound)},\n'
@@ -129,7 +129,7 @@ def run_penner(genus: int, cap: int | None, as_json: bool) -> int:
     )
     for k, names in enumerate(result.sorted_names()):
         write(("\n    " if k == 0 else ",\n    ") + _json_list(names, 2, '"'))
-    write(f'\n  ],\n  "upper_closed": {dump(fileio.frac_str(upper))}\n}}\n')
+    write(f'\n  ],\n  "upper_closed": {dump(surfaces.frac_str(upper))}\n}}\n')
     return 0 if ok else 1
 
 
@@ -252,7 +252,7 @@ def run_track(input_path: str, as_json: bool) -> int:
     if not dead:
         witness = traintrack.is_recurrent(track)[1]
         payload["witness"] = {
-            name: fileio.frac_str(w) for name, w in sorted(witness.items())
+            name: surfaces.frac_str(w) for name, w in sorted(witness.items())
         }
         lines.append("recurrence: PASS (positive witness measure found)")
     else:

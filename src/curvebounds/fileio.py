@@ -1,4 +1,4 @@
-"""Text file formats for matrices and tracks, plus "p/q" rational strings.
+"""Text file formats for matrices and tracks.
 
 Matrix files: first data line "rows cols", then one line per row of
 nonnegative integers, then optionally "real: i1 i2 ..." (0-based column
@@ -12,9 +12,8 @@ count has at most SURFACE_DIGITS of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 # Modules, not names: a matrix file never loads `traintrack`, nor a track
 # file `pfmatrix`.
@@ -23,7 +22,6 @@ from . import pfmatrix, surfaces, traintrack
 __all__ = [
     "MatrixFileError",
     "TrackFileError",
-    "frac_str",
     "MatrixDocument",
     "parse_matrix_text",
     "load_matrix",
@@ -43,11 +41,6 @@ class MatrixFileError(ValueError):
 
 class TrackFileError(ValueError):
     """Malformed track file; message names the offending line."""
-
-
-def frac_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _is_uint(token: str) -> bool:
@@ -100,8 +93,7 @@ def _data_lines(text: str):
 # --- matrices ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatrixDocument:
+class MatrixDocument(NamedTuple):
     matrix: pfmatrix.IntMatrix
     real_set: frozenset | None
     surface: surfaces.SurfaceSig | None
@@ -182,8 +174,7 @@ def format_matrix(
 # --- tracks -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrackDocument:
+class TrackDocument(NamedTuple):
     surface: surfaces.SurfaceSig
     switches: tuple[str, ...]
     branches: tuple[traintrack.Branch, ...]

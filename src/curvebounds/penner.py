@@ -24,7 +24,6 @@ loop.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress, islice
@@ -83,7 +82,6 @@ def _closed(x: int, g: int) -> int:
     return ab | (ab | c | c_next) << g | (b | c | b_prev) << 2 * g
 
 
-@dataclass(frozen=True)
 class TraceResult:
     """Orbit supports S_0..S_K with every certified iterate.
 
@@ -92,13 +90,21 @@ class TraceResult:
     only rotates the support.  `masks` (the supports S_k), `certificates`
     and `supports` are rebuilt from it by replaying rotations on first use.
     The certified iterates are exactly 1..`best_k`, and `bound` is 2/`best_k`.
+    Immutable; the instance dict holds the fields and the cached properties.
     """
 
-    genus: int
-    cap: int
-    events: tuple[tuple[int, int], ...]
-    steps: int
-    best_k: int
+    def __init__(
+        self,
+        genus: int,
+        cap: int,
+        events: tuple[tuple[int, int], ...],
+        steps: int,
+        best_k: int,
+    ):
+        vars(self).update(genus=genus, cap=cap, events=events, steps=steps, best_k=best_k)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TraceResult is immutable")
 
     def _replay(self, closed: bool = False) -> Iterator[int]:
         """S_k, or N[S_k] when `closed`, after each step k = 0..steps."""

@@ -8,7 +8,6 @@ block products and the Perron root bracket use integer entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -249,7 +248,6 @@ def product_lower_right(matrices: Sequence[IntMatrix], block: int) -> IntMatrix:
     return result
 
 
-@dataclass(frozen=True)
 class BlockTransition:
     """Square transition matrix with a distinguished set of real branches.
 
@@ -257,15 +255,24 @@ class BlockTransition:
     rows indexed by `real_set` vanish on the complementary columns and the
     restriction to the real indices is a genuine block of every power.
     `q` is the least power of that block with a positive diagonal entry.
+    Immutable.
     """
 
-    matrix: IntMatrix
-    real_set: frozenset[int]
-    surface: SurfaceSig
-    real_indices: tuple[int, ...] = field(init=False)
-    q: int = field(init=False)
+    __slots__ = ("matrix", "real_set", "surface", "real_indices", "q")
+
+    def __init__(self, matrix: IntMatrix, real_set: Iterable[int], surface: SurfaceSig):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "real_set", real_set)
+        object.__setattr__(self, "surface", surface)
+        # Looked up on the instance, so that a wrapper set on the class (as
+        # perfbench's tracer sets one) sees every validation.
+        self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BlockTransition is immutable")
 
     def __post_init__(self) -> None:
+        """Validate the fields and derive `real_indices` and `q`."""
         m = self.matrix
         _require_square(m)
         n = m.rows

@@ -1,4 +1,5 @@
-"""Surface signatures and closed-form translation-length bounds.
+"""Surface signatures, closed-form translation-length bounds and their
+"p/q" strings.
 
 Every bound is an exact `fractions.Fraction` except the logarithmic
 comparison bound, which is a 64-bit float by nature.
@@ -7,8 +8,8 @@ comparison bound, which is a 64-bit float by nature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "SporadicSurfaceError",
@@ -24,6 +25,7 @@ __all__ = [
     "punctured_genus2_upper_bound",
     "lower_bound_from_spread_time",
     "scaled_bound",
+    "frac_str",
 ]
 
 # 4 * log(2 + sqrt(3)), the numerator of the logarithmic comparison bound.
@@ -34,16 +36,30 @@ class SporadicSurfaceError(ValueError):
     """Surface has complexity 3g - 3 + n < 2; the bounds do not apply."""
 
 
-@dataclass(frozen=True)
 class SurfaceSig:
     """Orientable surface of genus `genus` with `punctures` punctures."""
 
-    genus: int
-    punctures: int = 0
+    __slots__ = ("genus", "punctures")
 
-    def __post_init__(self) -> None:
-        if self.genus < 0 or self.punctures < 0:
+    def __init__(self, genus: int, punctures: int = 0):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "punctures", punctures)
+        if genus < 0 or punctures < 0:
             raise ValueError(f"negative signature: {self}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SurfaceSig is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SurfaceSig):
+            return NotImplemented
+        return (self.genus, self.punctures) == (other.genus, other.punctures)
+
+    def __hash__(self) -> int:
+        return hash((self.genus, self.punctures))
+
+    def __repr__(self) -> str:
+        return f"SurfaceSig(genus={self.genus!r}, punctures={self.punctures!r})"
 
     @property
     def chi(self) -> int:
@@ -134,8 +150,7 @@ def scaled_bound(bound: Fraction, power: int) -> Fraction:
     return bound / power
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """The exact bounds known for one surface, checked against each other."""
 
     surface: SurfaceSig
@@ -155,3 +170,9 @@ class BoundReport:
                 f"lower bound {self.lower} not below certified upper bound "
                 f"{self.upper_penner} for {self.surface}"
             )
+
+
+def frac_str(x: Fraction) -> str:
+    """`x` as "p/q" in lowest terms, with q = 1 for an integer."""
+    x = Fraction(x)
+    return f"{x.numerator}/{x.denominator}"

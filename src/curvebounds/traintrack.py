@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
@@ -76,21 +75,38 @@ class BranchEnd(NamedTuple):
     slot: int
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     name: str
     ends: tuple[BranchEnd, BranchEnd]
     tag: str = "plain"
 
 
-@dataclass(frozen=True)
 class TrainTrack:
-    switches: tuple[str, ...]
-    branches: tuple[Branch, ...]
+    """Switches and branches whose slot data forms a valid track.  Immutable;
+    equal and hashed as the pair (switches, branches)."""
+
+    __slots__ = ("switches", "branches", "_incidence")
+
+    def __init__(self, switches: Sequence[str], branches: Sequence[Branch]):
+        object.__setattr__(self, "switches", tuple(switches))
+        object.__setattr__(self, "branches", tuple(branches))
+        # Looked up on the instance, so that a wrapper set on the class (as
+        # perfbench's tracer sets one) sees every validation.
+        self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TrainTrack is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TrainTrack):
+            return NotImplemented
+        return (self.switches, self.branches) == (other.switches, other.branches)
+
+    def __hash__(self) -> int:
+        return hash((self.switches, self.branches))
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "switches", tuple(self.switches))
-        object.__setattr__(self, "branches", tuple(self.branches))
+        """Validate the slot data and index each switch side's ends."""
         if len(set(self.switches)) != len(self.switches):
             raise TrackStructureError("duplicate switch names")
         names = [b.name for b in self.branches]
@@ -261,8 +277,7 @@ class CuspVisit(NamedTuple):
     depart_slot: int
 
 
-@dataclass(frozen=True)
-class BoundaryCycle:
+class BoundaryCycle(NamedTuple):
     cusps: tuple[CuspVisit, ...]
     size: int  # boundary points traversed
 
@@ -341,8 +356,7 @@ def total_cusps(track: TrainTrack) -> int:
 # --- complementary regions --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegionAttachment:
+class RegionAttachment(NamedTuple):
     """Declared filling data: the target surface plus (genus, punctures) of
     the region glued to each boundary cycle, in cycle order."""
 
@@ -350,8 +364,7 @@ class RegionAttachment:
     regions: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class RegionInfo:
+class RegionInfo(NamedTuple):
     index: int
     cusp_count: int
     genus: int
@@ -366,8 +379,7 @@ class RegionInfo:
         return f"other(genus={self.genus}, punctures={self.punctures})"
 
 
-@dataclass(frozen=True)
-class RegionReport:
+class RegionReport(NamedTuple):
     regions: tuple[RegionInfo, ...]
     is_large: bool
     is_maximal: bool
@@ -571,8 +583,7 @@ def positive_on_base(
 # --- branch count bounds ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BranchCountReport:
+class BranchCountReport(NamedTuple):
     total: int
     total_bound: int
     total_ok: bool
@@ -601,8 +612,7 @@ def branch_count_report(track: TrainTrack, sig: SurfaceSig) -> BranchCountReport
 # --- fold schedules ---------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class FoldSchedule:
+class FoldSchedule(NamedTuple):
     """Cusps of a splitting sequence with the induced total cusp map and the
     subset of cusps the sequence folds."""
 

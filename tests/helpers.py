@@ -15,11 +15,10 @@ from typing import NamedTuple
 
 from hypothesis import strategies as st
 
-from curvebounds.fileio import frac_str
 from curvebounds.penner import BaseCurve, TraceResult
 from curvebounds.pfmatrix import IntMatrix, is_irreducible, primitivity_exponent
 from curvebounds.pfmatrix import BlockTransition
-from curvebounds.surfaces import SurfaceSig, translation_length_upper_bound
+from curvebounds.surfaces import SurfaceSig, frac_str, translation_length_upper_bound
 from curvebounds.traintrack import Branch, BranchEnd, TrainTrack
 
 SEED = int(os.environ.get("CURVEBOUNDS_TEST_SEED", "7130823"))

@@ -279,6 +279,9 @@ def test_pf_text_block(tmp_path, capsys):
     assert "k = 2rq+i = 4 < 162*chi^2 = 648: PASS" in out
 
 
+CHI_ZERO_MATRIX = "1 1\n1\nreal: 0\nsurface: 1 0\n"
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -288,14 +291,17 @@ def test_pf_text_block(tmp_path, capsys):
         "not a matrix\n",
         "2 2\n0 1\n1 0\nreal: 0 1\nsurface: 2 0\n",  # imprimitive restriction
         "2 2\n1 0\n0 1\nreal: 0 1\nsurface: 2 0\n",  # reducible restriction
-        "1 1\n1\nreal: 0\nsurface: 1 0\n",  # chi = 0 surface
+        CHI_ZERO_MATRIX,
     ],
 )
 def test_pf_unusable_inputs(tmp_path, capsys, content):
     p = tmp_path / "m.matrix"
     p.write_text(content)
     assert main(["pf", "--input", str(p)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if content == CHI_ZERO_MATRIX:  # the surface as users see it
+        assert err == "error: surface must have chi < 0: SurfaceSig(genus=1, punctures=0)\n"
 
 
 def test_pf_missing_file(capsys):
@@ -484,12 +490,14 @@ def test_track_echo_round_trip(capsys):
 
 
 # Runs the CLI as `python -m curvebounds.cli` does, then writes which
-# `curvebounds.*` modules have executed.  A module registered lazily by the
-# package is a `_LazyModule` until its first attribute lookup turns it into a
-# plain module; `type()` reads no attribute, so the check loads nothing.
+# `curvebounds.*` modules have executed and which other modules the run
+# added.  A module registered lazily by the package is a `_LazyModule` until
+# its first attribute lookup turns it into a plain module; `type()` reads no
+# attribute, so the check loads nothing.
 _MODULE_PROBE = """
 import json, runpy, sys, types
 report = sys.argv.pop(1)
+before = set(sys.modules)
 try:
     runpy.run_module("curvebounds.cli", run_name="__main__", alter_sys=True)
 finally:
@@ -498,17 +506,17 @@ finally:
         for name, m in sys.modules.items()
         if name.startswith("curvebounds.") and type(m) is types.ModuleType
     ]
+    added = sorted(set(sys.modules) - before)
     with open(report, "w") as fh:
-        json.dump({"executed": executed, "numpy": "numpy" in sys.modules}, fh)
+        json.dump({"executed": executed, "added": added, "numpy": "numpy" in sys.modules}, fh)
 """
 
 
 @pytest.mark.parametrize(
     "args, code, executed",
     [
-        (["bounds", "--genus-min", "2", "--genus-max", "6"], 0,
-         {"surfaces", "penner", "fileio"}),
-        (["penner", "--genus", "4", "--json"], 0, {"surfaces", "penner", "fileio"}),
+        (["bounds", "--genus-min", "2", "--genus-max", "6"], 0, {"surfaces", "penner"}),
+        (["penner", "--genus", "4", "--json"], 0, {"surfaces", "penner"}),
         (["pf", "--input", "{matrix}"], 0, {"surfaces", "pfmatrix", "fileio", "_digraph"}),
         (["track", "--input", "{track}"], 0,
          {"surfaces", "traintrack", "fileio", "_digraph"}),
@@ -517,8 +525,9 @@ finally:
     ids=["bounds", "penner", "pf", "track", "usage-error"],
 )
 def test_subcommand_runs_only_its_engine(tmp_path, args, code, executed):
-    """Each subcommand executes only the engine modules it calls, never
-    numpy, and writes nothing to stderr when it succeeds."""
+    """Each subcommand executes only the engine modules it calls, never loads
+    numpy, dataclasses or inspect, and writes nothing to stderr when it
+    succeeds."""
     matrix = tmp_path / "chain.matrix"
     matrix.write_text(CHAIN_MATRIX)
     paths = {"{matrix}": str(matrix), "{track}": str(data_path("genus2_maximal.track"))}
@@ -537,6 +546,7 @@ def test_subcommand_runs_only_its_engine(tmp_path, args, code, executed):
     probe = json.loads(report.read_text())
     assert set(probe["executed"]) == executed
     assert not probe["numpy"]
+    assert not {"dataclasses", "inspect"} & set(probe["added"])
 
 
 def _limit_address_space(nbytes: int) -> None:

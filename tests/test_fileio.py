@@ -12,7 +12,6 @@ from curvebounds.fileio import (
     data_path,
     format_matrix,
     format_track,
-    frac_str,
     load_matrix,
     load_track,
     parse_matrix_text,
@@ -21,7 +20,7 @@ from curvebounds.fileio import (
 )
 from curvebounds.pfmatrix import IntMatrix
 from curvebounds.reference import reference_attachment, reference_track
-from curvebounds.surfaces import SurfaceSig
+from curvebounds.surfaces import SurfaceSig, frac_str
 from curvebounds.traintrack import TrackStructureError
 
 from helpers import near_valid_texts, numeric_field, random_matrix, rng_for

@@ -179,6 +179,8 @@ def test_trace_genus2_details():
     # the orbit saturates and the trace stops one step later
     full = frozenset(PennerSystem(2).curves())
     assert t.supports[-1] == t.supports[-2] == full
+    with pytest.raises(AttributeError):
+        t.best_k = 3
 
 
 def test_trace_matches_set_implementation():

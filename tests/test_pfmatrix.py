@@ -273,6 +273,8 @@ def test_block_transition_accessors():
     assert bt.restriction() == IntMatrix([[1, 1], [1, 1]])
     assert bt.q == 1
     assert _bt([[0, 1, 0], [0, 0, 1], [0, 1, 0]], [1, 2]).q == 2
+    with pytest.raises(AttributeError):
+        bt.q = 5
 
 
 def test_cover_time_chain():

@@ -28,6 +28,11 @@ def test_signature_invariants():
     assert SurfaceSig(3, 2).chi == -6
     assert SurfaceSig(0, 5).xi == 2
     assert SurfaceSig(2).punctures == 0
+    assert s == SurfaceSig(2, 0) and hash(s) == hash(SurfaceSig(2, 0))
+    assert s != SurfaceSig(2, 1) and s != (2, 0)
+    assert repr(SurfaceSig(1, 0)) == "SurfaceSig(genus=1, punctures=0)"
+    with pytest.raises(AttributeError):
+        s.genus = 3
 
 
 def test_signature_rejects_negative():

@@ -97,6 +97,9 @@ def test_valid_track_accessors():
     [bar] = [b for b in t.branches if b.name == "bar"]
     assert bar.ends[1] == end("R", 0, 0)
     assert [b for b, _ in t.side_ends("L", 0)] == [0, 0]
+    assert t == barbell() and hash(t) == hash(barbell())
+    with pytest.raises(AttributeError):
+        t.branches = ()
 
 
 def test_duplicate_branch_names_rejected():
