@@ -27,4 +27,4 @@ for k, support in enumerate(result.supports[: 3 * GENUS + 1]):
 print()
 print(f"best certified iterate: k = {result.best_k}, bound 2/k = {result.bound}")
 print(f"closed-form guarantee:  k* = {k_star(GENUS)}")
-print(f"supports saturate after {len(result.masks) - 1} iterates")
+print(f"supports saturate after {result.steps} iterates")

@@ -11,7 +11,6 @@ only float in any JSON report is the flm_upper_float64 field.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Iterable
@@ -25,6 +24,7 @@ __all__ = ["main", "run_bounds", "run_penner", "run_pf", "run_track"]
 
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
+        import json
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in lines:
@@ -116,20 +116,20 @@ def run_penner(genus: int, cap: int | None, as_json: bool) -> int:
         verdict = "PASS" if ok else "FAIL"
         write(f"2/{result.best_k} <= 4/(g^2+g-4) = {surfaces.frac_str(upper)}: {verdict}\n")
         return 0 if ok else 1
-    # The bytes of json.dumps(payload, indent=2, sort_keys=True): the keys
-    # are written in sorted order.  Curve names are letters and digits.
-    dump = json.dumps
+    # The bytes of json.dumps(payload, indent=2, sort_keys=True): sorted keys,
+    # ints and `pass` as JSON literals, and the "p/q" bounds and curve names
+    # (letters, digits and "/") quoted, since they need no escaping.
     certificates = _json_list(
         (_json_list((f"{k}", f'"{w}"'), 2) for k, w in result.certificates), 1
     )
     write(
-        f'{{\n  "best_k": {dump(result.best_k)},\n  "bound": {dump(bound)},\n'
-        f'  "cap": {dump(result.cap)},\n  "certificates": {certificates},\n'
-        f'  "genus": {dump(genus)},\n  "pass": {dump(ok)},\n  "supports": ['
+        f'{{\n  "best_k": {result.best_k},\n  "bound": "{bound}",\n'
+        f'  "cap": {result.cap},\n  "certificates": {certificates},\n'
+        f'  "genus": {genus},\n  "pass": {"true" if ok else "false"},\n  "supports": ['
     )
     for k, names in enumerate(result.sorted_names()):
         write(("\n    " if k == 0 else ",\n    ") + _json_list(names, 2, '"'))
-    write(f'\n  ],\n  "upper_closed": {dump(surfaces.frac_str(upper))}\n}}\n')
+    write(f'\n  ],\n  "upper_closed": "{surfaces.frac_str(upper)}"\n}}\n')
     return 0 if ok else 1
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import compress, islice
 from operator import itemgetter
 from typing import NamedTuple
@@ -48,11 +48,6 @@ class BaseCurve(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.family}{self.index}"
-
-
-@lru_cache(maxsize=None)
-def _curve(family: str, index: int) -> BaseCurve:
-    return BaseCurve(family, index)
 
 
 def k_star(genus: int) -> int:
@@ -89,6 +84,9 @@ class TraceResult:
     rotation, from the start (k = 0); every other step up to K = `steps`
     only rotates the support.  `masks` (the supports S_k), `certificates`
     and `supports` are rebuilt from it by replaying rotations on first use.
+    One curve table maps each bit to its curve, and one decoder turns each
+    replayed mask into flags in the curves' string order; `certificates`
+    reads the table, `supports` and `sorted_names` read the decoder.
     The certified iterates are exactly 1..`best_k`, and `bound` is 2/`best_k`.
     Immutable; the instance dict holds the fields and the cached properties.
     """
@@ -130,46 +128,48 @@ class TraceResult:
         return tuple(self._replay())
 
     @cached_property
+    def _curves(self) -> tuple[BaseCurve, ...]:
+        """The curve of each bit: bit f*g + i - 1 is family f, index i."""
+        indices = range(1, self.genus + 1)
+        return tuple(BaseCurve(family, i) for family in FAMILIES for i in indices)
+
+    def _decode(self) -> tuple[list[BaseCurve], Iterator[tuple[int, ...]]]:
+        """The curves in string order (a1, a10, a100, a11, ...) and, for each
+        replayed support S_k, one 0/1 flag per curve in that order."""
+        curves = self._curves
+        nbits = len(curves)
+        order = sorted(range(nbits), key=lambda cid: str(curves[cid]))
+        # format() puts bit cid at string position nbits - 1 - cid.
+        pick = itemgetter(*(nbits - 1 - cid for cid in order))
+        spec = f"0{nbits}b"
+        flags = (pick(format(m, spec).encode().translate(_BIT_BYTES)) for m in self._replay())
+        return [curves[cid] for cid in order], flags
+
+    @cached_property
     def certificates(self) -> tuple[tuple[int, BaseCurve], ...]:
         """(k, witness) for k = 1..best_k; the witness is the least curve
         outside N[S_k] other than b_g, which alone meets the start a_g."""
         g = self.genus
+        curves = self._curves
         not_bg = ((1 << 3 * g) - 1) & ~(1 << (2 * g - 1))
         out = []
         for k, near in islice(enumerate(self._replay(closed=True)), 1, self.best_k + 1):
             free = not_bg & ~near
-            low = (free & -free).bit_length() - 1
-            out.append((k, _curve(FAMILIES[low // g], low % g + 1)))
+            out.append((k, curves[(free & -free).bit_length() - 1]))
         return tuple(out)
 
     @cached_property
     def supports(self) -> tuple[frozenset, ...]:
-        g = self.genus
-        out = []
-        for mask in self.masks:
-            curves = []
-            m = mask
-            while m:
-                low = m & -m
-                cid = low.bit_length() - 1
-                curves.append(_curve(FAMILIES[cid // g], cid % g + 1))
-                m ^= low
-            out.append(frozenset(curves))
-        return tuple(out)
+        """The support S_k as a set of curves for k = 0..steps."""
+        ordered, flags = self._decode()
+        return tuple(frozenset(compress(ordered, f)) for f in flags)
 
     def sorted_names(self) -> Iterator[Iterator[str]]:
-        """Each support's curve names in string order (a1, a10, a100, a11,
-        ...), read straight from the replayed supports: no curve objects, no
-        sort, and no `masks` tuple."""
-        nbits = 3 * self.genus
-        names = [f"{family}{i}" for family in FAMILIES for i in range(1, self.genus + 1)]
-        order = sorted(range(nbits), key=names.__getitem__)
-        ordered = [names[cid] for cid in order]
-        # format() puts bit cid at string position nbits - 1 - cid.
-        pick = itemgetter(*(nbits - 1 - cid for cid in order))
-        spec = f"0{nbits}b"
-        for mask in self._replay():
-            yield compress(ordered, pick(format(mask, spec).encode().translate(_BIT_BYTES)))
+        """Each support's curve names in string order, read from the same
+        decoder as `supports`: no sort per support and no `masks` tuple."""
+        ordered, flags = self._decode()
+        names = [str(c) for c in ordered]
+        return (compress(names, f) for f in flags)
 
 
 def trace(genus: int, cap: int | None = None) -> TraceResult:

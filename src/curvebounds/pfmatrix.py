@@ -311,8 +311,7 @@ class BlockTransition:
         return self.matrix.rows
 
     def restriction(self) -> IntMatrix:
-        idx = tuple(sorted(self.real_set))
-        return self.matrix.submatrix(idx, idx)
+        return self.matrix.submatrix(self.real_indices, self.real_indices)
 
 
 def cover_time(bt: BlockTransition) -> int:

@@ -493,9 +493,10 @@ def test_track_echo_round_trip(capsys):
 # `curvebounds.*` modules have executed and which other modules the run
 # added.  A module registered lazily by the package is a `_LazyModule` until
 # its first attribute lookup turns it into a plain module; `type()` reads no
-# attribute, so the check loads nothing.
+# attribute, so the check loads nothing.  The probe imports json only after
+# the snapshot, so a run that loads json shows in `added`.
 _MODULE_PROBE = """
-import json, runpy, sys, types
+import runpy, sys, types
 report = sys.argv.pop(1)
 before = set(sys.modules)
 try:
@@ -507,6 +508,7 @@ finally:
         if name.startswith("curvebounds.") and type(m) is types.ModuleType
     ]
     added = sorted(set(sys.modules) - before)
+    import json
     with open(report, "w") as fh:
         json.dump({"executed": executed, "added": added, "numpy": "numpy" in sys.modules}, fh)
 """
@@ -526,8 +528,9 @@ finally:
 )
 def test_subcommand_runs_only_its_engine(tmp_path, args, code, executed):
     """Each subcommand executes only the engine modules it calls, never loads
-    numpy, dataclasses or inspect, and writes nothing to stderr when it
-    succeeds."""
+    numpy, dataclasses or inspect, loads json only for a report that
+    `json.dumps` writes (none of these cases), and writes nothing to stderr
+    when it succeeds."""
     matrix = tmp_path / "chain.matrix"
     matrix.write_text(CHAIN_MATRIX)
     paths = {"{matrix}": str(matrix), "{track}": str(data_path("genus2_maximal.track"))}
@@ -546,7 +549,7 @@ def test_subcommand_runs_only_its_engine(tmp_path, args, code, executed):
     probe = json.loads(report.read_text())
     assert set(probe["executed"]) == executed
     assert not probe["numpy"]
-    assert not {"dataclasses", "inspect"} & set(probe["added"])
+    assert not {"dataclasses", "inspect", "json"} & set(probe["added"])
 
 
 def _limit_address_space(nbytes: int) -> None:
