@@ -11,6 +11,7 @@ only float in any JSON report is the flm_upper_float64 field.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from collections.abc import Iterable
@@ -247,22 +248,21 @@ def run_track(input_path: str, as_json: bool) -> int:
             f"maximal: {'yes' if report.is_maximal else 'no'}"
         )
 
-    dead = traintrack.unrouted_branches(track)
-    checks["recurrent"] = not dead
-    if not dead:
-        witness = traintrack.is_recurrent(track)[1]
+    recurrent, evidence = traintrack.is_recurrent(track)
+    checks["recurrent"] = recurrent
+    if recurrent:
         payload["witness"] = {
-            name: surfaces.frac_str(w) for name, w in sorted(witness.items())
+            name: surfaces.frac_str(w) for name, w in sorted(evidence.items())
         }
         lines.append("recurrence: PASS (positive witness measure found)")
     else:
         # Name one dead branch and the count, not the list: a large track
         # can have hundreds.
         payload["witness"] = None
-        payload["no_route"] = {"count": len(dead), "first": dead[0]}
+        payload["no_route"] = {"count": len(evidence), "first": evidence[0]}
         lines.append(
-            f"recurrence: FAIL ({len(dead)} branches on no closed route, "
-            f"first: {dead[0]})"
+            f"recurrence: FAIL ({len(evidence)} branches on no closed route, "
+            f"first: {evidence[0]})"
         )
 
     counts = traintrack.branch_count_report(track, sig)
@@ -350,6 +350,11 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Switch and branch names come from the input file and need not encode
+    # on stdout (PYTHONIOENCODING=ascii, a latin-1 locale): escape them, so
+    # the report completes and the exit code stays the verdict's.
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = _build_parser()
     try:
         code = _run(parser, parser.parse_args(argv))

@@ -1,9 +1,11 @@
 """Exact nonnegative integer matrices and Perron-Frobenius structure.
 
 Every zero-pattern question (irreducibility, shortest cycles, cover times,
-positivity of powers) runs on the boolean support digraph, stored as one
-int bitmask per row; powers of it are taken by repeated squaring.  Only
-block products and the Perron root bracket use integer entries.
+positivity of powers) runs on the boolean support digraph, which an
+`IntMatrix` builds once, while it validates its entries, and keeps as
+`support`, one int bitmask per row; powers of it are taken by repeated
+squaring.  Only block products and the Perron root bracket use integer
+entries.
 """
 
 from __future__ import annotations
@@ -44,31 +46,31 @@ class NotBHStructureError(ValueError):
 
 
 class IntMatrix:
-    """Immutable nonnegative integer matrix, row-major."""
+    """Immutable nonnegative integer matrix, row-major.  `support` holds the
+    row bitmasks of its support digraph: bit j of row i is set iff entry
+    (i, j) is positive."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "support")
 
     def __init__(self, entries: Iterable[Iterable[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(tuple(map(int, row)) for row in entries)
         if not rows or not rows[0]:
             raise ValueError("matrix needs at least one row and one column")
         width = len(rows[0])
+        support = []
         for row in rows:
             if len(row) != width:
                 raise ValueError("ragged rows")
-            for x in row:
-                if x < 0:
-                    raise ValueError(f"negative entry {x}")
+            if min(row) < 0:
+                raise ValueError(f"negative entry {next(x for x in row if x < 0)}")
+            support.append(sum(1 << j for j, x in enumerate(row) if x))
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "support", tuple(support))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @property
     def is_square(self) -> bool:
@@ -101,38 +103,17 @@ class IntMatrix:
             ]
         )
 
-    def __pow__(self, k: int) -> "IntMatrix":
-        if not self.is_square:
-            raise ValueError("power of a non-square matrix")
-        if k < 0:
-            raise ValueError("negative power")
-        result = IntMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base if k > 1 else base
-            k >>= 1
-        return result
-
-    def entrywise_positive(self) -> bool:
-        return all(x > 0 for row in self.entries for x in row)
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
         return IntMatrix(
             [[self.entries[i][j] for j in col_idx] for i in row_idx]
         )
 
-    def support_rows(self) -> list[int]:
-        """Row bitmasks of the support digraph: bit j of row i set iff m[i][j] > 0."""
-        return [sum(1 << j for j, x in enumerate(row) if x) for row in self.entries]
 
-
-def _bool_mul(a: list[int], b: list[int]) -> list[int]:
+def _bool_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [image(b, row) for row in a]
 
 
-def _bool_pow(adj: list[int], k: int) -> list[int]:
+def _bool_pow(adj: Sequence[int], k: int) -> list[int]:
     """Support of m^k from the support of m, by binary exponentiation."""
     result = [1 << i for i in range(len(adj))]
     while k:
@@ -156,8 +137,7 @@ def is_irreducible(m: IntMatrix) -> bool:
     a 1x1 positive matrix is.
     """
     _require_square(m)
-    adj = m.support_rows()
-    return any(adj) and len(set(components(adj))) == 1
+    return any(m.support) and len(set(components(m.support))) == 1
 
 
 def min_positive_diagonal_power(m: IntMatrix) -> int:
@@ -168,10 +148,10 @@ def min_positive_diagonal_power(m: IntMatrix) -> int:
     """
     if not is_irreducible(m):
         raise NotIrreducibleError("min_positive_diagonal_power needs an irreducible matrix")
-    return _girth(m.support_rows())
+    return _girth(m.support)
 
 
-def _girth(adj: list[int]) -> int:
+def _girth(adj: Sequence[int]) -> int:
     """Length of the shortest directed cycle of a support digraph that has one."""
     best = None
     for i in range(len(adj)):
@@ -208,7 +188,7 @@ def primitivity_exponent(m: IntMatrix) -> int | None:
     _require_square(m)
     n = m.rows
     full = (1 << n) - 1
-    squares = [m.support_rows()]  # squares[j] is the support of m^(2^j)
+    squares = [m.support]  # squares[j] is the support of m^(2^j)
     for _ in range((wielandt_bound(n) - 1).bit_length()):
         squares.append(_bool_mul(squares[-1], squares[-1]))
     if any(row != full for row in squares.pop()):
@@ -283,16 +263,18 @@ class BlockTransition:
         if any(i < 0 or i >= n for i in real):
             raise BlockStructureError(f"real index out of range 0..{n - 1}")
         object.__setattr__(self, "real_indices", tuple(sorted(real)))
+        outside = ((1 << n) - 1) & ~sum(1 << i for i in real)
         for i in real:
-            for j in range(n):
-                if j not in real and m.entries[i][j]:
-                    raise BlockStructureError(
-                        f"image of non-real branch {j} crosses real branch {i}"
-                    )
+            crossed = m.support[i] & outside
+            if crossed:
+                j = (crossed & -crossed).bit_length() - 1
+                raise BlockStructureError(
+                    f"image of non-real branch {j} crosses real branch {i}"
+                )
         restriction = self.restriction()
         if not is_irreducible(restriction):
             raise NotIrreducibleError("real-branch block is not irreducible")
-        object.__setattr__(self, "q", _girth(restriction.support_rows()))
+        object.__setattr__(self, "q", _girth(restriction.support))
         if self.surface.chi >= 0:
             raise BlockStructureError(f"surface must have chi < 0: {self.surface}")
         r, real_bound = len(real), real_branch_bound(self.surface)
@@ -322,7 +304,7 @@ def cover_time(bt: BlockTransition) -> int:
     is covered at depth d+1 when its row has a positive entry in a column
     covered at depth d.
     """
-    adj = bt.matrix.support_rows()
+    adj = bt.matrix.support
     covered = sum(1 << i for i in bt.real_set)
     depth = 0
     while covered != (1 << bt.dim) - 1:
@@ -349,7 +331,7 @@ def full_spread_power(bt: BlockTransition) -> int:
     NotBHStructureError.
     """
     k = 2 * bt.r * bt.q + cover_time(bt)
-    power = _bool_pow(bt.matrix.support_rows(), k)
+    power = _bool_pow(bt.matrix.support, k)
     for b in range(bt.dim):
         for beta in bt.real_indices:
             if not (power[b] >> beta) & 1:

@@ -7,6 +7,9 @@ bottom sheet, ends attached on opposite sides of their switches glue
 straight (top-top, bottom-bottom) and ends attached on the same side glue
 with a half twist.  This is exactly the orientable thickening, so boundary
 cycles, cusps and complementary regions all fall out of one traversal.
+Recurrence is one pass over the switch-side graph: its strongly connected
+components decide it, and only a recurrent track goes on to the shortest
+paths that build its witness measure.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ __all__ = [
     "check_measure",
     "switch_equations",
     "is_recurrent",
-    "unrouted_branches",
     "boundary_cycles",
     "total_cusps",
     "classify_regions",
@@ -214,38 +216,41 @@ def check_measure(track: TrainTrack, weights: Mapping[str, Fraction]) -> bool:
 # --- recurrence by closed smooth routes -------------------------------------
 
 
-def _switch_side_graph(track: TrainTrack) -> tuple[list[int], list[tuple[int, int]]]:
-    """The switch-side graph and the end nodes of each branch.  Node
-    2s + side leaves switch s through that side; a branch with end nodes A
-    and B is the edge A -> B ^ 1 one way and B -> A ^ 1 the other, because
-    a smooth route arriving on one side of a switch leaves by the other."""
+def _route_graph(
+    track: TrainTrack,
+) -> tuple[list[int], list[tuple[int, int]], tuple[str, ...]]:
+    """The switch-side graph, the end nodes of each branch and the names of
+    the branches on no closed smooth route, in track order.  Node 2s + side
+    leaves switch s through that side; a branch with end nodes A and B is
+    the edge A -> B ^ 1 one way and B -> A ^ 1 the other, because a smooth
+    route arriving on one side of a switch leaves by the other.  A branch is
+    on no closed route iff its edge A -> B ^ 1 joins two components."""
     first = {sw: 2 * i for i, sw in enumerate(track.switches)}
     ends = [tuple(first[e.switch] + e.side for e in b.ends) for b in track.branches]
     succ = [0] * (2 * len(track.switches))
     for a, z in ends:
         succ[a] |= 1 << (z ^ 1)
         succ[z] |= 1 << (a ^ 1)
-    return succ, ends
-
-
-def unrouted_branches(track: TrainTrack) -> tuple[str, ...]:
-    """Names of the branches on no closed smooth route, in track order: the
-    branches whose edge A -> B ^ 1 joins two components."""
-    succ, ends = _switch_side_graph(track)
     label = components(succ)
-    return tuple(
+    dead = tuple(
         b.name for b, (a, z) in zip(track.branches, ends) if label[a] != label[z ^ 1]
     )
+    return succ, ends, dead
 
 
-def is_recurrent(track: TrainTrack) -> tuple[bool, dict[str, Fraction] | None]:
+def is_recurrent(
+    track: TrainTrack,
+) -> tuple[bool, dict[str, Fraction] | tuple[str, ...]]:
     """Decide whether the track carries a strictly positive measure: whether
-    every branch lies on a closed smooth route (Penner-Harer).  For each
-    branch not yet covered, in track order, a shortest path B ^ 1 -> A of
-    the switch-side graph closes its edge A -> B ^ 1 into a closed route; the
-    witness counts how often these routes traverse each branch, so its
-    weights are integers >= 1.  A branch with no such path decides False."""
-    succ, ends = _switch_side_graph(track)
+    every branch lies on a closed smooth route (Penner-Harer).  Returns
+    (False, names of the branches on no closed route) or (True, witness).
+    For each branch not yet covered, in track order, a shortest path
+    B ^ 1 -> A of the switch-side graph closes its edge A -> B ^ 1 into a
+    closed route; the witness counts how often these routes traverse each
+    branch, so its weights are integers >= 1."""
+    succ, ends, dead = _route_graph(track)
+    if dead:
+        return False, dead
     via: dict[tuple[int, int], int] = {}  # one branch per edge
     for i, (a, z) in enumerate(ends):
         via[a, z ^ 1] = via[z, a ^ 1] = i
@@ -254,8 +259,6 @@ def is_recurrent(track: TrainTrack) -> tuple[bool, dict[str, Fraction] | None]:
         if count[i]:
             continue
         path = shortest_path(succ, z ^ 1, a)
-        if path is None:
-            return False, None
         count[i] += 1
         for edge in zip(path, path[1:]):
             count[via[edge]] += 1
@@ -392,7 +395,12 @@ class RegionReport(NamedTuple):
 def classify_regions(track: TrainTrack, attachment: RegionAttachment) -> RegionReport:
     """Label each complementary region and check Euler consistency against
     the declared surface."""
-    cycles = boundary_cycles(track)
+    return _region_report(track, boundary_cycles(track), attachment)
+
+
+def _region_report(
+    track: TrainTrack, cycles: Sequence[BoundaryCycle], attachment: RegionAttachment
+) -> RegionReport:
     if len(attachment.regions) != len(cycles):
         raise TrackStructureError(
             f"{len(attachment.regions)} regions declared for "
@@ -543,10 +551,10 @@ def enumerate_diagonal_extensions(
     itself recurrent), each judged by whether every branch lies on a closed
     route.  Deterministic lexicographic order, region 0 varying slowest.
     """
-    report = classify_regions(track, attachment)
+    cycles = boundary_cycles(track)
+    report = _region_report(track, cycles, attachment)
     if not report.is_large:
         raise TrackStructureError("diagonal extensions need a large track")
-    cycles = boundary_cycles(track)
     for info in report.regions:
         if info.cusp_count > REGION_CUSP_CUTOFF:
             raise RegionCutoffError(
@@ -560,7 +568,7 @@ def enumerate_diagonal_extensions(
     for combo in itertools.product(*per_region):
         sel = [(ci, chord) for ci, sub in enumerate(combo) for chord in sub]
         ext = add_diagonals(track, cycles, sel)
-        if not unrouted_branches(ext):
+        if not _route_graph(ext)[2]:
             out.append(ext)
     return tuple(out)
 

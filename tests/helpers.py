@@ -55,6 +55,31 @@ def random_primitive(rng: random.Random, dim: int) -> IntMatrix:
             return m
 
 
+def identity(n: int) -> IntMatrix:
+    return IntMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def matrix_power(m: IntMatrix, k: int) -> IntMatrix:
+    """m^k in exact integers, by binary exponentiation: the reference for
+    the boolean powers the library takes of the support digraph."""
+    if not m.is_square:
+        raise ValueError("power of a non-square matrix")
+    if k < 0:
+        raise ValueError("negative power")
+    result = identity(m.rows)
+    base = m
+    while k:
+        if k & 1:
+            result = result @ base
+        base = base @ base if k > 1 else base
+        k >>= 1
+    return result
+
+
+def entrywise_positive(m: IntMatrix) -> bool:
+    return all(x > 0 for row in m.entries for x in row)
+
+
 def brute_irreducible(m: IntMatrix) -> bool:
     """(I + M)^(n-1) entrywise positive, by repeated plain multiplication."""
     n = m.rows
@@ -63,17 +88,17 @@ def brute_irreducible(m: IntMatrix) -> bool:
     s = IntMatrix(
         [[m[(i, j)] + (1 if i == j else 0) for j in range(n)] for i in range(n)]
     )
-    acc = IntMatrix.identity(n)
+    acc = identity(n)
     for _ in range(n - 1):
         acc = acc @ s
-    return acc.entrywise_positive()
+    return entrywise_positive(acc)
 
 
 def brute_exponent(m: IntMatrix, bound: int) -> int | None:
     """First power s <= bound with m^s positive, by stepwise products."""
     acc = m
     for s in range(1, bound + 1):
-        if acc.entrywise_positive():
+        if entrywise_positive(acc):
             return s
         acc = acc @ m
     return None
@@ -201,7 +226,7 @@ def brute_girth(m: IntMatrix) -> int:
 
 def brute_cover_time(bt: BlockTransition) -> int:
     """Least j with every row of M^j positive in some real column."""
-    acc = IntMatrix.identity(bt.dim)
+    acc = identity(bt.dim)
     j = 0
     while not all(any(acc[(b, beta)] for beta in bt.real_set) for b in range(bt.dim)):
         acc = acc @ bt.matrix
@@ -386,6 +411,30 @@ def route_dead_branches(track: TrainTrack) -> list[str]:
 def route_recurrent(track: TrainTrack) -> bool:
     """Oracle: every branch lies on a closed smooth route."""
     return not route_dead_branches(track)
+
+
+def darts_strongly_connected(track: TrainTrack) -> bool:
+    """Whether every dart of the dart graph reaches every other.  Then every
+    branch lies on a closed route, and so does every branch of a track with
+    diagonals added in the cusps: a new dart continues into old darts and old
+    darts continue into it, so the dart graph stays strongly connected."""
+    succ = _dart_graph(track)
+    pred = {dart: [] for dart in succ}
+    for dart, nxt in succ.items():
+        for other in nxt:
+            pred[other].append(dart)
+
+    def reaches_all(adj) -> bool:
+        start = next(iter(adj))
+        seen, frontier = {start}, [start]
+        while frontier:
+            for other in adj[frontier.pop()]:
+                if other not in seen:
+                    seen.add(other)
+                    frontier.append(other)
+        return len(seen) == len(adj)
+
+    return reaches_all(succ) and reaches_all(pred)
 
 
 def some_closed_route(track: TrainTrack) -> list[int] | None:
@@ -671,6 +720,17 @@ def dissection_sizes(k: int, chords) -> list[int]:
         polygons.remove(poly)
         polygons += [poly[a:b + 1], poly[b:] + poly[:a + 1]]
     return sorted(len(p) for p in polygons)
+
+
+def dissection_count(k: int) -> int:
+    """D(k), the number of dissections of a convex k-gon by non-crossing
+    diagonals, the empty one included: the little Schroeder number a(k - 2)
+    (OEIS A001003), from (n+1) a(n) = 3(2n-1) a(n-1) - (n-2) a(n-2) with
+    a(0) = a(1) = 1."""
+    a = [1, 1]
+    for n in range(2, k - 1):
+        a.append((3 * (2 * n - 1) * a[n - 1] - (n - 2) * a[n - 2]) // (n + 1))
+    return a[k - 2]
 
 
 # --- fold schedules ---------------------------------------------------------

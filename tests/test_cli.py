@@ -489,6 +489,43 @@ def test_track_echo_round_trip(capsys):
     assert {"d0", "d1", "d2"} <= names
 
 
+PI_SWITCH_TRACK = DEAD_TRACK.replace("stem s:0:2 s:1:0", "stem s:0:2 \u03c0:1:0")
+LAMBDA_DEAD_TRACK = DEAD_TRACK.replace("loop s:0:0", "\u03bboop s:0:0")
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+@pytest.mark.parametrize(
+    "content, line",
+    [
+        (PI_SWITCH_TRACK, "structure (valences, sides, slots): FAIL "
+                          "(branch stem attaches to unknown switch '\\u03c0')"),
+        (LAMBDA_DEAD_TRACK, "recurrence: FAIL (1 branches on no closed route, "
+                            "first: \\u03bboop)"),
+    ],
+    ids=["unknown-switch", "dead-branch"],
+)
+def test_track_report_escapes_names_stdout_cannot_encode(tmp_path, encoding, content, line):
+    """A name stdout cannot encode is written backslash-escaped: the text
+    report completes with the verdict's exit code and no traceback, and the
+    JSON report, ASCII already, keeps its bytes."""
+    p = tmp_path / "t.track"
+    p.write_text(content, encoding="utf-8")
+    src = Path(curvebounds.__file__).resolve().parents[1]
+
+    def run(io_encoding: str, *flags: str) -> subprocess.CompletedProcess:
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": io_encoding}
+        argv = [sys.executable, "-m", "curvebounds.cli", "track", "--input", str(p), *flags]
+        return subprocess.run(argv, env=env, capture_output=True, timeout=60)
+
+    text = run(encoding)
+    assert (text.returncode, text.stderr) == (1, b"")
+    assert line in text.stdout.decode("ascii").splitlines()
+    as_json, as_utf8_json = run(encoding, "--json"), run("utf-8", "--json")
+    assert (as_json.returncode, as_json.stderr) == (1, b"")
+    assert as_json.stdout == as_utf8_json.stdout
+    assert as_json.stdout.isascii()
+
+
 # Runs the CLI as `python -m curvebounds.cli` does, then writes which
 # `curvebounds.*` modules have executed and which other modules the run
 # added.  A module registered lazily by the package is a `_LazyModule` until

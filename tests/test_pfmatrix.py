@@ -19,6 +19,7 @@ from curvebounds.pfmatrix import (
     primitivity_exponent,
     product_lower_right,
     wielandt_bound,
+    _bool_pow,
 )
 from curvebounds.surfaces import SurfaceSig
 
@@ -31,6 +32,9 @@ from helpers import (
     chain_block_transition,
     char_root_counts,
     cyclic_class_matrix,
+    entrywise_positive,
+    identity,
+    matrix_power,
     random_block_sequence,
     random_irreducible,
     random_matrix,
@@ -62,17 +66,19 @@ def test_matrix_algebra():
     a = IntMatrix([[1, 2], [3, 4]])
     b = IntMatrix([[0, 1], [1, 0]])
     assert a @ b == IntMatrix([[2, 1], [4, 3]])
-    assert a ** 0 == IntMatrix.identity(2)
-    assert a ** 1 == a
-    assert a ** 3 == a @ a @ a
+    assert matrix_power(a, 0) == identity(2)
+    assert matrix_power(a, 1) == a
+    assert matrix_power(a, 3) == a @ a @ a
     assert a.submatrix([1], [0, 1]) == IntMatrix([[3, 4]])
-    assert a.entrywise_positive()
-    assert IntMatrix([[1, 1], [1, 1]]).entrywise_positive()
-    assert not IntMatrix([[1, 0], [1, 1]]).entrywise_positive()
+    assert entrywise_positive(a)
+    assert entrywise_positive(IntMatrix([[1, 1], [1, 1]]))
+    assert not entrywise_positive(IntMatrix([[1, 0], [1, 1]]))
     with pytest.raises(ValueError):
         a @ IntMatrix([[1, 2, 3]])
     with pytest.raises(ValueError):
-        a ** -1
+        matrix_power(a, -1)
+    with pytest.raises(ValueError):
+        matrix_power(IntMatrix([[1, 2]]), 2)
 
 
 def test_power_matches_repeated_multiplication():
@@ -80,15 +86,37 @@ def test_power_matches_repeated_multiplication():
     for _ in range(20):
         m = random_matrix(rng, rng.randint(1, 5))
         k = rng.randint(0, 6)
-        acc = IntMatrix.identity(m.rows)
+        acc = identity(m.rows)
         for _ in range(k):
             acc = acc @ m
-        assert m ** k == acc
+        assert matrix_power(m, k) == acc
 
 
-def test_support_rows():
+def _support_of(m: IntMatrix) -> tuple[int, ...]:
+    return tuple(sum(1 << j for j in range(m.cols) if m[(i, j)] > 0) for i in range(m.rows))
+
+
+def test_support():
     m = IntMatrix([[0, 2, 0], [1, 0, 0], [0, 0, 3]])
-    assert m.support_rows() == [0b010, 0b001, 0b100]
+    assert m.support == (0b010, 0b001, 0b100)
+    assert IntMatrix([[0, 5, 0, 1]]).support == (0b1010,)
+    with pytest.raises(AttributeError):
+        m.support = (0, 0, 0)
+    rng = rng_for("pf-support")
+    for _ in range(40):
+        m = random_matrix(rng, rng.randint(1, 7), density=rng.uniform(0.0, 1.0))
+        assert m.support == _support_of(m)
+        assert (m @ m).support == _support_of(m @ m)
+        flipped = m.submatrix(range(m.rows)[::-1], range(m.cols))
+        assert flipped.support == m.support[::-1]
+
+
+def test_bool_pow_is_support_of_integer_power():
+    rng = rng_for("pf-bool-pow")
+    for _ in range(40):
+        m = random_matrix(rng, rng.randint(1, 6), density=rng.uniform(0.1, 0.6))
+        for k in range(0, 9):
+            assert _bool_pow(m.support, k) == list(matrix_power(m, k).support), (m, k)
 
 
 # --- irreducibility ---------------------------------------------------------
@@ -98,7 +126,7 @@ def test_irreducible_base_cases():
     assert not is_irreducible(IntMatrix([[0]]))
     assert is_irreducible(IntMatrix([[5]]))
     assert is_irreducible(IntMatrix([[0, 1], [1, 0]]))
-    assert not is_irreducible(IntMatrix.identity(2))
+    assert not is_irreducible(identity(2))
     assert not is_irreducible(IntMatrix([[1, 1], [0, 1]]))
     with pytest.raises(ValueError):
         is_irreducible(IntMatrix([[1, 2]]))
@@ -133,7 +161,7 @@ def test_min_diagonal_power_is_girth():
         m = random_irreducible(rng, rng.randint(1, 6))
         q = min_positive_diagonal_power(m)
         assert 1 <= q <= m.rows
-        power = IntMatrix.identity(m.rows)
+        power = identity(m.rows)
         for s in range(1, q + 1):
             power = power @ m
             has_diag = any(power.entries[i][i] > 0 for i in range(m.rows))
@@ -309,7 +337,7 @@ def test_full_spread_power_postcondition():
             k = full_spread_power(bt)
             q = min_positive_diagonal_power(bt.restriction())
             assert k == 2 * bt.r * q + cover_time(bt)
-            power = IntMatrix.identity(bt.dim)
+            power = identity(bt.dim)
             for _ in range(k):
                 power = power @ bt.matrix
             for b in range(bt.dim):
@@ -328,7 +356,7 @@ def test_full_spread_power_large_matches_integer_power(r, depth):
     k = full_spread_power(bt)
     assert k == 2 * r * brute_girth(bt.restriction()) + brute_cover_time(bt)
     assert k >= 2 * r * (r - 1) >= 264
-    power = bt.matrix ** k
+    power = matrix_power(bt.matrix, k)
     assert all(power[(b, beta)] > 0 for b in range(bt.dim) for beta in bt.real_set)
 
 
@@ -340,7 +368,7 @@ def test_full_spread_power_large_imprimitive_names_first_zero(period):
     bt = chain_block_transition(rng, core, 10, SIG4)
     k = 2 * bt.r * brute_girth(bt.restriction()) + brute_cover_time(bt)
     assert k >= 100
-    power = bt.matrix ** k
+    power = matrix_power(bt.matrix, k)
     b, beta = next(
         (b, beta)
         for b in range(bt.dim)

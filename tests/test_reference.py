@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from curvebounds.reference import (
@@ -26,7 +28,12 @@ from curvebounds.traintrack import (
     total_cusps,
 )
 
-from helpers import noncrossing_subsets_brute
+from helpers import (
+    darts_strongly_connected,
+    dissection_count,
+    dissection_sizes,
+    noncrossing_subsets_brute,
+)
 
 
 def test_frozen_constants_cover_both_genera():
@@ -143,6 +150,39 @@ def test_genus3_cut_spine_extension_count():
     exts = enumerate_diagonal_extensions(base, att)
     assert len(exts) == 495
     assert len({frozenset((b.ends, b.tag) for b in e.branches) for e in exts}) == 495
+
+
+def test_dissection_count_is_little_schroeder():
+    assert [dissection_count(k) for k in range(3, 13)] == [
+        1, 3, 11, 45, 197, 903, 4279, 20793, 103049, 518859,
+    ]
+    for k in range(3, 8):
+        assert dissection_count(k) == len(noncrossing_subsets_brute(k))
+
+
+@pytest.mark.parametrize(
+    "genus, chords, count",
+    [
+        (2, [], 45),
+        (2, [(0, 2)], 11),
+        (2, [(0, 2), (0, 4)], 3),
+        (3, [(0, 5), (0, 2)], 495),
+    ],
+)
+def test_extension_count_is_product_of_dissection_counts(genus, chords, count):
+    """On a base whose dart graph is strongly connected every diagonal
+    family is recurrent, so the extensions number the product of D(k) over
+    the polygon regions."""
+    spine = build_spine(genus, CUSP_CORNERS[genus])
+    base = add_diagonals(spine, boundary_cycles(spine), [(0, c) for c in chords])
+    sizes = dissection_sizes(4 * genus - 2, chords)
+    att = RegionAttachment(SurfaceSig(genus, 0), ((0, 0),) * len(sizes))
+    assert darts_strongly_connected(base)
+    assert sorted(r.cusp_count for r in classify_regions(base, att).regions) == sizes
+    exts = enumerate_diagonal_extensions(base, att)
+    assert len(exts) == math.prod(map(dissection_count, sizes)) == count
+    # The all-zero corner pattern leaves branches off every route.
+    assert not darts_strongly_connected(build_spine(genus, (0,) * (4 * genus - 2)))
 
 
 def test_reference_track_has_no_proper_extensions():

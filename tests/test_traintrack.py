@@ -28,7 +28,6 @@ from curvebounds.traintrack import (
     positive_on_base,
     switch_equations,
     total_cusps,
-    unrouted_branches,
     _chords,
     _crossing,
     _noncrossing_subsets,
@@ -214,12 +213,11 @@ def test_recurrent_barbell():
 
 
 def test_dead_branch_not_recurrent():
-    assert is_recurrent(dead_branch_track()) == (False, None)
-    assert not route_recurrent(dead_branch_track())
     # On the switch-side graph the stem is a self-loop at each side, a
     # closed route by itself; the loop leads from side 0 to side 1 and
     # nothing leads back, so only the loop is dead.
-    assert unrouted_branches(dead_branch_track()) == ("loop",)
+    assert is_recurrent(dead_branch_track()) == (False, ("loop",))
+    assert not route_recurrent(dead_branch_track())
     assert route_dead_branches(dead_branch_track()) == ["loop"]
 
 
@@ -234,12 +232,13 @@ def test_recurrence_matches_route_oracle():
     seen = {True: 0, False: 0}
     for _ in range(3000):
         t = random_small_track(rng, max_branches=12)
-        ok, w = is_recurrent(t)
+        ok, evidence = is_recurrent(t)
         assert ok == route_recurrent(t), t
-        assert list(unrouted_branches(t)) == route_dead_branches(t), t
         seen[ok] += 1
         if ok:
-            assert_integer_witness(t, w)
+            assert_integer_witness(t, evidence)
+        else:
+            assert list(evidence) == route_dead_branches(t), t
     assert seen[True] and seen[False]
 
 
@@ -255,13 +254,12 @@ def fan_spine(genus: int, pattern: str) -> TrainTrack:
 )
 def test_fan_spine_recurrence_matches_route_oracle(genus, pattern):
     t = fan_spine(genus, pattern)
-    ok, w = is_recurrent(t)
+    ok, evidence = is_recurrent(t)
     assert ok == route_recurrent(t) == (pattern == "alt")
-    assert list(unrouted_branches(t)) == route_dead_branches(t)
     if ok:
-        assert_integer_witness(t, w)
+        assert_integer_witness(t, evidence)
     else:
-        assert w is None
+        assert list(evidence) == route_dead_branches(t)
 
 
 def test_self_loop_routes():
