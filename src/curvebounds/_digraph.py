@@ -3,11 +3,13 @@
 Bit w of `succ[v]` is set iff there is an edge v -> w.  Both certificate
 engines run their graph questions through these functions: the support
 digraph of a transition matrix and the switch-side graph of a train track.
+Every distance question (shortest paths, girth, cover time) reads the one
+breadth-first walk, `layers`.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 
 def image(succ: Sequence[int], mask: int) -> int:
@@ -18,6 +20,22 @@ def image(succ: Sequence[int], mask: int) -> int:
         out |= succ[low.bit_length() - 1]
         mask ^= low
     return out
+
+
+def reverse(succ: Sequence[int]) -> list[int]:
+    """Successor rows of the reversed digraph: bit v of row w iff v -> w."""
+    n = len(succ)
+    return [sum((succ[v] >> w & 1) << v for v in range(n)) for w in range(n)]
+
+
+def layers(succ: Sequence[int], start: int) -> Iterator[int]:
+    """Breadth-first layers from the node set `start`: first `start`, then
+    each set of nodes first reached one edge later, until none is new."""
+    seen = layer = start
+    while layer:
+        yield layer
+        layer = image(succ, layer) & ~seen
+        seen |= layer
 
 
 def components(succ: Sequence[int]) -> list[int]:
@@ -62,16 +80,15 @@ def shortest_path(succ: Sequence[int], source: int, target: int) -> list[int] | 
     included (just [source] when they are equal), or None when target is
     unreachable.  Each step back takes the least node of the previous
     breadth-first layer with an edge to the node after it."""
-    layers = [1 << source]
-    seen = layers[0]
-    while not layers[-1] >> target & 1:
-        layer = image(succ, layers[-1]) & ~seen
-        if not layer:
-            return None
-        seen |= layer
-        layers.append(layer)
+    walk = []
+    for layer in layers(succ, 1 << source):
+        walk.append(layer)
+        if layer >> target & 1:
+            break
+    else:
+        return None
     path = [target]
-    for layer in reversed(layers[:-1]):
+    for layer in reversed(walk[:-1]):
         while not succ[(layer & -layer).bit_length() - 1] >> path[-1] & 1:
             layer &= layer - 1  # its least node has no edge to the path
         path.append((layer & -layer).bit_length() - 1)

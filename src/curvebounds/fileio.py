@@ -6,8 +6,10 @@ indices) and "surface: g n".  Track files: a "surface g n" line, a
 "switches" section, a "branches" section (one branch per line: name, two
 switch:side:slot endpoints, tag) and an "attach" section giving (genus,
 punctures) per boundary cycle.  Blank lines and lines starting with "#"
-are ignored everywhere.  Numbers are ASCII digits; a genus or puncture
-count has at most SURFACE_DIGITS of them.
+are ignored everywhere, and lines end only at \\n, \\r\\n and \\r, not at
+the form feeds, U+2028 and the like that str.splitlines also breaks at.
+Files are UTF-8; one leading byte-order mark is dropped.  Numbers are ASCII
+digits; a genus or puncture count has at most SURFACE_DIGITS of them.
 """
 
 from __future__ import annotations
@@ -76,14 +78,17 @@ def _surface_ints(tokens: list[str], lineno: int, error: type[ValueError]) -> li
 
 
 def _read_utf8(path, error: type[ValueError]) -> str:
+    # Plain UTF-8, then one byte-order mark dropped: "byte N" stays a file
+    # offset, where 'utf-8-sig' would count it from after the mark.
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise error(f"byte {exc.start}: file is not UTF-8 text") from None
 
 
 def _data_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -3,9 +3,10 @@
 Every zero-pattern question (irreducibility, shortest cycles, cover times,
 positivity of powers) runs on the boolean support digraph, which an
 `IntMatrix` builds once, while it validates its entries, and keeps as
-`support`, one int bitmask per row; powers of it are taken by repeated
-squaring.  Only block products and the Perron root bracket use integer
-entries.
+`support`, one int bitmask per row.  Shortest cycles and cover times read
+the breadth-first walk of `_digraph`; powers of the support are taken by
+repeated squaring.  Only block products and the Perron root bracket use
+integer entries.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ._digraph import components, image
+from ._digraph import components, image, layers, reverse
 from .surfaces import SurfaceSig, branch_bound, real_branch_bound
 
 __all__ = [
@@ -152,21 +153,15 @@ def min_positive_diagonal_power(m: IntMatrix) -> int:
 
 
 def _girth(adj: Sequence[int]) -> int:
-    """Length of the shortest directed cycle of a support digraph that has one."""
-    best = None
-    for i in range(len(adj)):
-        # BFS for the shortest directed cycle through i.
-        frontier = adj[i]
-        dist = 1
-        seen = 0
-        while frontier and (best is None or dist < best):
-            if frontier >> i & 1:
+    """Length of the shortest directed cycle of a strongly connected support
+    digraph (at most n): the least d with some node i in the layer d - 1
+    edges beyond its own successors."""
+    best = len(adj)
+    for i, row in enumerate(adj):
+        for dist, layer in zip(range(1, best), layers(adj, row)):
+            if layer >> i & 1:
                 best = dist
                 break
-            seen |= frontier
-            frontier = image(adj, frontier) & ~seen
-            dist += 1
-    assert best is not None  # callers pass irreducible digraphs, which have cycles
     return best
 
 
@@ -300,23 +295,20 @@ def cover_time(bt: BlockTransition) -> int:
     """Smallest j >= 0 such that every branch carries the j-th image of some
     real branch; 0 exactly when every branch is real.
 
-    Computed as BFS depth on the support digraph from the real set: branch b
-    is covered at depth d+1 when its row has a positive entry in a column
-    covered at depth d.
+    Computed as the breadth-first depth of the reversed support digraph from
+    the real set: branch b is covered at depth d+1 when its row has a
+    positive entry in a column covered at depth d.
     """
-    adj = bt.matrix.support
-    covered = sum(1 << i for i in bt.real_set)
-    depth = 0
-    while covered != (1 << bt.dim) - 1:
-        grown = covered | sum(1 << b for b, row in enumerate(adj) if row & covered)
-        if grown == covered:
-            missing = [b for b in range(bt.dim) if not (covered >> b) & 1]
-            raise NotBHStructureError(
-                "not a BH transition structure: branches never covered by "
-                f"images of the real set: {missing}"
-            )
-        covered = grown
-        depth += 1
+    real = sum(1 << i for i in bt.real_set)  # nonempty, so depth gets set
+    covered = 0
+    for depth, layer in enumerate(layers(reverse(bt.matrix.support), real)):
+        covered |= layer
+    if covered != (1 << bt.dim) - 1:
+        missing = [b for b in range(bt.dim) if not (covered >> b) & 1]
+        raise NotBHStructureError(
+            "not a BH transition structure: branches never covered by "
+            f"images of the real set: {missing}"
+        )
     return depth
 
 

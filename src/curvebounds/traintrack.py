@@ -7,9 +7,11 @@ bottom sheet, ends attached on opposite sides of their switches glue
 straight (top-top, bottom-bottom) and ends attached on the same side glue
 with a half twist.  This is exactly the orientable thickening, so boundary
 cycles, cusps and complementary regions all fall out of one traversal.
-Recurrence is one pass over the switch-side graph: its strongly connected
-components decide it, and only a recurrent track goes on to the shortest
-paths that build its witness measure.
+A track numbers its switch sides once, while it validates (see
+`TrainTrack`); the traversal, the switch equations and recurrence all walk
+those nodes.  Recurrence is one pass over the switch-side graph: its
+strongly connected components decide it, and only a recurrent track goes
+on to the shortest paths that build its witness measure.
 """
 
 from __future__ import annotations
@@ -85,9 +87,12 @@ class Branch(NamedTuple):
 
 class TrainTrack:
     """Switches and branches whose slot data forms a valid track.  Immutable;
-    equal and hashed as the pair (switches, branches)."""
+    equal and hashed as the pair (switches, branches).  Validation numbers
+    the switch sides once: node v = 2s + side is that side of switch s,
+    `sides[v]` holds its slot-ordered (branch index, end index) pairs, and
+    `ends[b]` the two nodes of branch b."""
 
-    __slots__ = ("switches", "branches", "_incidence")
+    __slots__ = ("switches", "branches", "sides", "ends")
 
     def __init__(self, switches: Sequence[str], branches: Sequence[Branch]):
         object.__setattr__(self, "switches", tuple(switches))
@@ -108,19 +113,20 @@ class TrainTrack:
         return hash((self.switches, self.branches))
 
     def __post_init__(self) -> None:
-        """Validate the slot data and index each switch side's ends."""
-        if len(set(self.switches)) != len(self.switches):
+        """Validate the slot data and derive `sides` and `ends`."""
+        node = {sw: 2 * i for i, sw in enumerate(self.switches)}
+        if len(node) != len(self.switches):
             raise TrackStructureError("duplicate switch names")
         names = [b.name for b in self.branches]
         if len(set(names)) != len(names):
             raise TrackStructureError("duplicate branch names")
-        known = set(self.switches)
-        slots: dict[tuple[str, int], dict[int, tuple[int, int]]] = {}
+        slots: list[dict[int, tuple[int, int]]] = [{} for _ in range(2 * len(node))]
+        ends = []
         for bidx, b in enumerate(self.branches):
             if b.tag not in TAGS:
                 raise TrackStructureError(f"unknown tag {b.tag!r} on branch {b.name}")
             for eidx, end in enumerate(b.ends):
-                if end.switch not in known:
+                if end.switch not in node:
                     raise TrackStructureError(
                         f"branch {b.name} attaches to unknown switch {end.switch!r}"
                     )
@@ -128,42 +134,31 @@ class TrainTrack:
                     raise TrackStructureError(
                         f"branch {b.name} has side {end.side}, expected 0 or 1"
                     )
-                key = (end.switch, end.side)
-                occupied = slots.setdefault(key, {})
+                occupied = slots[node[end.switch] + end.side]
                 if end.slot in occupied:
                     raise TrackStructureError(
                         f"slot collision at switch {end.switch} side {end.side} "
                         f"slot {end.slot}"
                     )
                 occupied[end.slot] = (bidx, eidx)
-        incidence: dict[tuple[str, int], tuple[tuple[int, int], ...]] = {}
-        for sw in self.switches:
-            valence = 0
-            for side in (0, 1):
-                occupied = slots.get((sw, side), {})
-                if not occupied:
-                    raise TrackStructureError(
-                        f"switch {sw} has an empty side {side}"
-                    )
-                if sorted(occupied) != list(range(len(occupied))):
-                    raise TrackStructureError(
-                        f"switch {sw} side {side} slots not contiguous from 0: "
-                        f"{sorted(occupied)}"
-                    )
-                incidence[(sw, side)] = tuple(
-                    occupied[i] for i in range(len(occupied))
+            ends.append(tuple(node[e.switch] + e.side for e in b.ends))
+        sides = []
+        for v, occupied in enumerate(slots):
+            sw, side = self.switches[v >> 1], v & 1
+            if not occupied:
+                raise TrackStructureError(f"switch {sw} has an empty side {side}")
+            if sorted(occupied) != list(range(len(occupied))):
+                raise TrackStructureError(
+                    f"switch {sw} side {side} slots not contiguous from 0: "
+                    f"{sorted(occupied)}"
                 )
-                valence += len(occupied)
-            if valence < 3:
-                raise TrackStructureError(f"switch {sw} has valence {valence} < 3")
-        object.__setattr__(self, "_incidence", incidence)
-
-    def side_ends(self, switch: str, side: int) -> tuple[tuple[int, int], ...]:
-        """Slot-ordered (branch index, end index) pairs on one side."""
-        return self._incidence[(switch, side)]
-
-    def valence(self, switch: str) -> int:
-        return len(self.side_ends(switch, 0)) + len(self.side_ends(switch, 1))
+            sides.append(tuple(occupied[i] for i in range(len(occupied))))
+            if side:
+                valence = len(sides[v - 1]) + len(sides[v])
+                if valence < 3:
+                    raise TrackStructureError(f"switch {sw} has valence {valence} < 3")
+        object.__setattr__(self, "sides", tuple(sides))
+        object.__setattr__(self, "ends", tuple(ends))
 
     @property
     def num_switches(self) -> int:
@@ -193,14 +188,12 @@ def switch_equations(track: TrainTrack) -> list[dict[str, int]]:
     """Per switch, the net coefficient of each branch weight (side 0 counts
     +1 per end, side 1 counts -1 per end; a loop with both ends on one side
     contributes twice)."""
-    eqs = []
-    for sw in track.switches:
-        coeff: dict[str, int] = {}
-        for side, sign in ((0, 1), (1, -1)):
-            for bidx, _ in track.side_ends(sw, side):
-                name = track.branches[bidx].name
-                coeff[name] = coeff.get(name, 0) + sign
-        eqs.append(coeff)
+    eqs: list[dict[str, int]] = [{} for _ in track.switches]
+    for v, ends in enumerate(track.sides):
+        coeff, sign = eqs[v >> 1], -1 if v & 1 else 1
+        for bidx, _ in ends:
+            name = track.branches[bidx].name
+            coeff[name] = coeff.get(name, 0) + sign
     return eqs
 
 
@@ -216,26 +209,24 @@ def check_measure(track: TrainTrack, weights: Mapping[str, Fraction]) -> bool:
 # --- recurrence by closed smooth routes -------------------------------------
 
 
-def _route_graph(
-    track: TrainTrack,
-) -> tuple[list[int], list[tuple[int, int]], tuple[str, ...]]:
-    """The switch-side graph, the end nodes of each branch and the names of
-    the branches on no closed smooth route, in track order.  Node 2s + side
-    leaves switch s through that side; a branch with end nodes A and B is
-    the edge A -> B ^ 1 one way and B -> A ^ 1 the other, because a smooth
-    route arriving on one side of a switch leaves by the other.  A branch is
-    on no closed route iff its edge A -> B ^ 1 joins two components."""
-    first = {sw: 2 * i for i, sw in enumerate(track.switches)}
-    ends = [tuple(first[e.switch] + e.side for e in b.ends) for b in track.branches]
-    succ = [0] * (2 * len(track.switches))
-    for a, z in ends:
+def _route_graph(track: TrainTrack) -> tuple[list[int], tuple[str, ...]]:
+    """The switch-side graph and the names of the branches on no closed
+    smooth route, in track order.  Node 2s + side leaves switch s through
+    that side; a branch with end nodes A and B (`track.ends`) is the edge
+    A -> B ^ 1 one way and B -> A ^ 1 the other, because a smooth route
+    arriving on one side of a switch leaves by the other.  A branch is on
+    no closed route iff its edge A -> B ^ 1 joins two components."""
+    succ = [0] * len(track.sides)
+    for a, z in track.ends:
         succ[a] |= 1 << (z ^ 1)
         succ[z] |= 1 << (a ^ 1)
     label = components(succ)
     dead = tuple(
-        b.name for b, (a, z) in zip(track.branches, ends) if label[a] != label[z ^ 1]
+        b.name
+        for b, (a, z) in zip(track.branches, track.ends)
+        if label[a] != label[z ^ 1]
     )
-    return succ, ends, dead
+    return succ, dead
 
 
 def is_recurrent(
@@ -248,14 +239,14 @@ def is_recurrent(
     B ^ 1 -> A of the switch-side graph closes its edge A -> B ^ 1 into a
     closed route; the witness counts how often these routes traverse each
     branch, so its weights are integers >= 1."""
-    succ, ends, dead = _route_graph(track)
+    succ, dead = _route_graph(track)
     if dead:
         return False, dead
     via: dict[tuple[int, int], int] = {}  # one branch per edge
-    for i, (a, z) in enumerate(ends):
+    for i, (a, z) in enumerate(track.ends):
         via[a, z ^ 1] = via[z, a ^ 1] = i
-    count = [0] * len(ends)
-    for i, (a, z) in enumerate(ends):
+    count = [0] * len(track.ends)
+    for i, (a, z) in enumerate(track.ends):
         if count[i]:
             continue
         path = shortest_path(succ, z ^ 1, a)
@@ -308,26 +299,19 @@ def boundary_cycles(track: TrainTrack) -> tuple[BoundaryCycle, ...]:
             branch_partner[_point(bidx, 1, other)] = _point(bidx, 0, sheet)
     switch_partner = [0] * npts
     cusp_at: dict[tuple[int, int], tuple[Cusp, int, int]] = {}
-    for sw in track.switches:
-        side0 = track.side_ends(sw, 0)
-        side1 = track.side_ends(sw, 1)
-        top0 = _point(*side0[0], 0)
-        top1 = _point(*side1[0], 0)
-        switch_partner[top0] = top1
-        switch_partner[top1] = top0
-        bot0 = _point(*side0[-1], 1)
-        bot1 = _point(*side1[-1], 1)
-        switch_partner[bot0] = bot1
-        switch_partner[bot1] = bot0
-        for side, ends in ((0, side0), (1, side1)):
-            for gap in range(len(ends) - 1):
-                lo = _point(*ends[gap], 1)      # bottom sheet of slot gap
-                hi = _point(*ends[gap + 1], 0)  # top sheet of slot gap+1
-                switch_partner[lo] = hi
-                switch_partner[hi] = lo
-                cusp = Cusp(sw, side, gap)
-                cusp_at[(lo, hi)] = (cusp, gap, gap + 1)
-                cusp_at[(hi, lo)] = (cusp, gap + 1, gap)
+    sides = track.sides
+    for v, ends in enumerate(sides):
+        # the outer sheets cross the switch to the other side's outer slots
+        switch_partner[_point(*ends[0], 0)] = _point(*sides[v ^ 1][0], 0)
+        switch_partner[_point(*ends[-1], 1)] = _point(*sides[v ^ 1][-1], 1)
+        for gap in range(len(ends) - 1):
+            lo = _point(*ends[gap], 1)      # bottom sheet of slot gap
+            hi = _point(*ends[gap + 1], 0)  # top sheet of slot gap+1
+            switch_partner[lo] = hi
+            switch_partner[hi] = lo
+            cusp = Cusp(track.switches[v >> 1], v & 1, gap)
+            cusp_at[(lo, hi)] = (cusp, gap, gap + 1)
+            cusp_at[(hi, lo)] = (cusp, gap + 1, gap)
     visited = [False] * npts
     cycles = []
     for start in range(npts):
@@ -353,7 +337,8 @@ def boundary_cycles(track: TrainTrack) -> tuple[BoundaryCycle, ...]:
 
 
 def total_cusps(track: TrainTrack) -> int:
-    return sum(track.valence(sw) - 2 for sw in track.switches)
+    """A switch of valence d has d - 2 cusps; valences sum to 2 * branches."""
+    return 2 * (track.num_branches - track.num_switches)
 
 
 # --- complementary regions --------------------------------------------------
@@ -568,7 +553,7 @@ def enumerate_diagonal_extensions(
     for combo in itertools.product(*per_region):
         sel = [(ci, chord) for ci, sub in enumerate(combo) for chord in sub]
         ext = add_diagonals(track, cycles, sel)
-        if not _route_graph(ext)[2]:
+        if not _route_graph(ext)[1]:
             out.append(ext)
     return tuple(out)
 

@@ -372,15 +372,19 @@ def random_small_track(rng: random.Random, max_branches: int = 8) -> TrainTrack:
 
 def _dart_graph(track: TrainTrack):
     """Darts are (branch index, arriving end index); edges are the smooth
-    continuations through the arriving switch."""
+    continuations through the arriving switch, in slot order.  The side
+    lists are built here from the branches' own ends, not read from the
+    library's index; a branch's ends are unpacked rather than read as an
+    `ends` attribute, so that `test_oracle_independence` can ban that name."""
+    on_side: dict[tuple[str, int], list[tuple[int, int, int]]] = {}
+    for bidx, (_, branch_ends, _) in enumerate(track.branches):
+        for d, (switch, side, slot) in enumerate(branch_ends):
+            on_side.setdefault((switch, side), []).append((slot, bidx, d))
     succ = {}
-    for bidx, b in enumerate(track.branches):
-        for d in (0, 1):
-            end = b.ends[d]
-            nxt = []
-            for b2, d2 in track.side_ends(end.switch, 1 - end.side):
-                nxt.append((b2, 1 - d2))
-            succ[(bidx, d)] = nxt
+    for bidx, (_, branch_ends, _) in enumerate(track.branches):
+        for d, (switch, side, _) in enumerate(branch_ends):
+            leaving = sorted(on_side[(switch, 1 - side)])
+            succ[(bidx, d)] = [(b2, 1 - d2) for _, b2, d2 in leaving]
     return succ
 
 
@@ -582,6 +586,24 @@ def oracle_trace(genus: int, cap: int | None = None):
         if supports[-1] == supports[-2] == full:
             break
     return tuple(supports), tuple(certificates)
+
+
+def penner_matrix(genus: int) -> IntMatrix:
+    """M_g = P T_c1 T_b1 T_a1, the Penner map on the 3g curve weights, indexed
+    in `PennerSystem.curves()` order (curve i is bit i of the trace's masks).
+    T_x = I + e_x i(x, .) is the twist along x and P the rotation, index
+    j -> j - 1; both come from the set model alone."""
+    system = PennerSystem(genus)
+    cs = system.curves()
+
+    def twist(x: BaseCurve) -> IntMatrix:
+        rows = [[int(r == c) for c in cs] for r in cs]
+        rows[cs.index(x)] = [int(x == c) + system.intersect(x, c) for c in cs]
+        return IntMatrix(rows)
+
+    p = IntMatrix([[int(rotate(system, frozenset({c})) == {r}) for c in cs] for r in cs])
+    a1, b1, c1 = (BaseCurve(f, 1) for f in FAMILIES)
+    return p @ twist(c1) @ twist(b1) @ twist(a1)
 
 
 class StepTrace(NamedTuple):

@@ -489,6 +489,19 @@ def test_track_echo_round_trip(capsys):
     assert {"d0", "d1", "d2"} <= names
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_track_with_byte_order_mark(tmp_path, capsys, as_json):
+    """Some editors start UTF-8 files with a byte-order mark."""
+    path = data_path("genus2_maximal.track")
+    marked = tmp_path / "bom.track"
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    flag = ["--json"] * as_json
+    assert main(["track", "--input", str(path), *flag]) == 0
+    plain = capsys.readouterr()
+    assert main(["track", "--input", str(marked), *flag]) == 0
+    assert capsys.readouterr() == plain
+
+
 PI_SWITCH_TRACK = DEAD_TRACK.replace("stem s:0:2 s:1:0", "stem s:0:2 \u03c0:1:0")
 LAMBDA_DEAD_TRACK = DEAD_TRACK.replace("loop s:0:0", "\u03bboop s:0:0")
 

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from curvebounds._digraph import components, image, shortest_path
+from curvebounds._digraph import components, image, layers, reverse, shortest_path
 
 from helpers import brute_distances, random_digraph, rng_for
 
@@ -42,3 +42,23 @@ def test_shortest_path_has_bfs_length():
                 assert path[0] == source and path[-1] == target
                 assert len(path) - 1 == dist[target]
                 assert all(w in succ[v] for v, w in zip(path, path[1:]))
+
+
+def test_reverse_flips_every_edge():
+    for succ, rows, _ in random_cases():
+        pred = reverse(rows)
+        n = len(succ)
+        assert pred == [sum(1 << v for v in range(n) if w in succ[v]) for w in range(n)]
+
+
+def test_layers_are_distance_classes():
+    for succ, rows, rng in random_cases():
+        sources = [v for v in range(len(succ)) if rng.random() < 0.2]
+        dist: dict[int, int] = {}
+        for source in sources:
+            for w, d in brute_distances(succ, source).items():
+                dist[w] = min(d, dist.get(w, d))
+        walk = list(layers(rows, sum(1 << v for v in sources)))
+        assert len(walk) == (max(dist.values()) + 1 if dist else 0)
+        for d, layer in enumerate(walk):
+            assert layer == sum(1 << w for w, dw in dist.items() if dw == d)

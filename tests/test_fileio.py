@@ -217,6 +217,64 @@ def test_non_utf8_files_are_format_errors(tmp_path):
         load_track(p)
 
 
+# Characters str.splitlines treats as line ends that a file format must not:
+# \v, \f, \x1c-\x1e, \x85, U+2028 and U+2029.
+LINE_LIKE = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize("sep", LINE_LIKE)
+def test_matrix_comment_keeps_line_like_characters(sep, tmp_path):
+    text = f"# note{sep} was here\n2 2\n1 1\n# c{sep}1 0\n0 1\n"
+    p = tmp_path / "m.matrix"
+    p.write_text(text, encoding="utf-8", newline="")
+    for doc in (parse_matrix_text(text), load_matrix(p)):
+        assert doc.matrix == IntMatrix([[1, 1], [0, 1]])
+    # line numbers count only \n, \r\n and \r
+    with pytest.raises(MatrixFileError, match=r"^line 5: expected 2 entries, got 3$"):
+        parse_matrix_text(f"2 2\n1 1\n# c{sep}1 0\n\n0 1 5\n")
+
+
+@pytest.mark.parametrize("sep", LINE_LIKE)
+def test_track_comment_keeps_line_like_characters(sep, tmp_path):
+    body = (
+        "surface 2 0\nswitches L R\nbranches\n"
+        "loopL L:0:0 L:0:1 plain\n"
+        "bar L:1:0 R:0:0 plain\n"
+        "loopR R:1:0 R:1:1 plain\n"
+        "attach\n0 1 0\n1 1 0\n2 0 0\n"
+    )
+    text = f"# a{sep}track\n" + body.replace("bar", f"# the{sep}x L:0:0\nbar")
+    p = tmp_path / "t.track"
+    p.write_text(text, encoding="utf-8", newline="")
+    for doc in (parse_track_text(text), load_track(p)):
+        assert doc == parse_track_text(body)
+    with pytest.raises(TrackFileError, match="^line 5: branch needs name"):
+        parse_track_text(f"surface 2 0\n# c{sep}x\nswitches L\nbranches\nbad\n")
+
+
+def test_line_ends_are_newline_return_and_both():
+    for nl in ("\n", "\r\n", "\r"):
+        with pytest.raises(MatrixFileError, match="^line 4: expected 2 entries"):
+            parse_matrix_text(nl.join(["2 2", "# c", "1 1", "0"]))
+
+
+def test_byte_order_mark_is_dropped(tmp_path):
+    bom = b"\xef\xbb\xbf"
+    m, t = tmp_path / "m.matrix", tmp_path / "t.track"
+    m.write_bytes(bom + b"2 2\n1 1\n0 1\nreal: 1\n")
+    assert load_matrix(m) == parse_matrix_text("2 2\n1 1\n0 1\nreal: 1\n")
+    shipped = data_path("genus2_maximal.track").read_bytes()
+    t.write_bytes(bom + shipped)
+    assert load_track(t) == parse_track_text(shipped.decode())
+    # only one mark goes, and byte offsets still count it
+    m.write_bytes(bom + bom + b"1 1\n1\n")
+    with pytest.raises(MatrixFileError, match="^line 1: expected"):
+        load_matrix(m)
+    m.write_bytes(bom + b"1 1\n1\n# caf\xe9\n")
+    with pytest.raises(MatrixFileError, match="^byte 14: file is not UTF-8 text"):
+        load_matrix(m)
+
+
 def test_track_round_trip_reference():
     for genus in (2, 3):
         track = reference_track(genus)

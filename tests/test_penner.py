@@ -13,6 +13,7 @@ from curvebounds.penner import (
     penner_upper_bound,
     trace,
 )
+from curvebounds.pfmatrix import min_positive_diagonal_power, primitivity_exponent
 from curvebounds.surfaces import translation_length_upper_bound
 
 from helpers import (
@@ -21,6 +22,7 @@ from helpers import (
     curves,
     oracle_trace,
     parse_curve as curve,
+    penner_matrix,
     rng_for,
     rotate,
     step,
@@ -228,6 +230,54 @@ def test_trace_matches_step_oracle_at_every_cap(genus):
 @pytest.mark.parametrize("genus", [*range(41, 401, 17), 400])
 def test_trace_best_k_matches_step_oracle_large_genus(genus):
     assert trace(genus).best_k == step_trace(genus).best_k
+
+
+@pytest.mark.parametrize("genus", range(2, 26))
+def test_trace_masks_are_supports_of_penner_matrix_powers(genus):
+    """A third oracle of the trace, on a different engine: S_k is the
+    support of M_g^k e_{a_g}, the k-th image of the start curve's weight
+    vector under the integer Penner matrix."""
+    m = penner_matrix(genus)
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in m.entries]
+    v = [int(i == genus - 1) for i in range(m.rows)]  # a_g
+    for k, mask in enumerate(trace(genus).masks):
+        assert sum(1 << i for i, x in enumerate(v) if x) == mask, k
+        v = [sum(x * v[j] for j, x in row) for row in nonzero]
+
+
+@pytest.mark.parametrize("genus", range(2, 31))
+def test_penner_matrix_exponent_and_shortest_cycle(genus):
+    """The trace stops one step after the support first fills, and that
+    fill time is the exponent of M_g; its shortest cycle has length g - 1."""
+    m = penner_matrix(genus)
+    assert primitivity_exponent(m) == trace(genus).steps - 1
+    assert min_positive_diagonal_power(m) == genus - 1
+
+
+def _cyclic_interval(row: int, g: int) -> bool:
+    """Whether the g-bit row is empty, full or one cyclic run of indices:
+    at most one member has its cyclic predecessor outside the row."""
+    full = (1 << g) - 1
+    starts = row & ~((row << 1 | row >> (g - 1)) & full)
+    return row == full or starts & (starts - 1) == 0
+
+
+def test_cyclic_interval_check_matches_runs():
+    for g in range(2, 9):
+        runs = {0, (1 << g) - 1} | {
+            sum(1 << (s + i) % g for i in range(n)) for s in range(g) for n in range(1, g)
+        }
+        assert {r for r in range(1 << g) if _cyclic_interval(r, g)} == runs
+
+
+@pytest.mark.parametrize("genus", [*range(2, 61), 200, 400])
+def test_step_trace_families_are_cyclic_intervals(genus):
+    """In every support of the trace, each family a, b, c is empty, full or
+    one cyclic interval of indices."""
+    full = (1 << genus) - 1
+    for k, mask in enumerate(step_trace(genus).masks):
+        for fam in range(3):
+            assert _cyclic_interval(mask >> fam * genus & full, genus), (k, fam)
 
 
 def test_trace_events_are_bounded():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -92,13 +93,33 @@ def cusp_violation_track() -> TrainTrack:
 def test_valid_track_accessors():
     t = barbell()
     assert t.num_switches == 2 and t.num_branches == 3
-    assert t.valence("L") == 3
+    # node 2s + side: L0, L1, R0, R1; valence of L is 2 + 1
+    assert t.sides == (((0, 0), (0, 1)), ((1, 0),), ((1, 1),), ((2, 0), (2, 1)))
+    assert t.ends == ((0, 0), (1, 2), (3, 3))
     [bar] = [b for b in t.branches if b.name == "bar"]
     assert bar.ends[1] == end("R", 0, 0)
-    assert [b for b, _ in t.side_ends("L", 0)] == [0, 0]
     assert t == barbell() and hash(t) == hash(barbell())
     with pytest.raises(AttributeError):
         t.branches = ()
+    with pytest.raises(AttributeError):
+        t.sides = ()
+
+
+def test_side_index_matches_slot_data():
+    rng = rng_for("track-sides")
+    for _ in range(200):
+        t = random_small_track(rng)
+        expected: dict[int, dict[int, tuple[int, int]]] = {}
+        for bidx, b in enumerate(t.branches):
+            nodes = []
+            for eidx, e in enumerate(b.ends):
+                v = 2 * t.switches.index(e.switch) + e.side
+                expected.setdefault(v, {})[e.slot] = (bidx, eidx)
+                nodes.append(v)
+            assert t.ends[bidx] == tuple(nodes)
+        assert len(t.sides) == 2 * t.num_switches
+        for v, ends in enumerate(t.sides):
+            assert ends == tuple(expected[v][slot] for slot in sorted(expected[v]))
 
 
 def test_duplicate_branch_names_rejected():
@@ -325,6 +346,8 @@ def test_cusp_total_equals_cycle_sum():
         cycles = boundary_cycles(t)
         assert sum(c.cusp_count for c in cycles) == total_cusps(t)
         assert total_cusps(t) == 2 * t.num_branches - 2 * t.num_switches
+        valence = Counter(e.switch for b in t.branches for e in b.ends)
+        assert total_cusps(t) == sum(valence[sw] - 2 for sw in t.switches)
         # each arc appears in exactly one cycle
         assert sum(c.size for c in cycles) == 4 * t.num_branches
 
