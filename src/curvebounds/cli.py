@@ -14,7 +14,6 @@ import argparse
 import io
 import os
 import sys
-from collections.abc import Iterable
 
 # Modules, not names: the package loads each one at its first attribute
 # lookup, so a subcommand runs only the engines it calls.
@@ -90,15 +89,6 @@ def run_bounds(genus_min: int, genus_max: int, punctures: int, as_json: bool) ->
 # --- penner -----------------------------------------------------------------
 
 
-def _json_list(items: Iterable[str], depth: int, quote: str = "") -> str:
-    """`items` as a JSON list at nesting `depth`, laid out as by
-    json.dumps(indent=2).  Each item is JSON text, or with `quote='"'` a
-    string that needs no escaping."""
-    pad = "  " * depth
-    body = f"{quote},\n{pad}  {quote}".join(items)
-    return f"[\n{pad}  {quote}{body}{quote}\n{pad}]" if body else "[]"
-
-
 def run_penner(genus: int, cap: int | None, as_json: bool) -> int:
     result = penner.trace(genus, cap)
     upper = surfaces.translation_length_upper_bound(genus)
@@ -109,8 +99,8 @@ def run_penner(genus: int, cap: int | None, as_json: bool) -> int:
     write = sys.stdout.write
     if not as_json:
         write(f"penner trace, genus {genus}, cap {result.cap}\n")
-        for k, names in enumerate(result.sorted_names()):
-            write(f"S_{k} = {{{' '.join(names)}}}\n")
+        for k, names in enumerate(result.sorted_names(" ")):
+            write(f"S_{k} = {{{names}}}\n")
         for k, w in result.certificates:
             write(f"certified k={k} witness={w}\n")
         write(f"best_k={result.best_k} bound={bound}\n")
@@ -119,17 +109,20 @@ def run_penner(genus: int, cap: int | None, as_json: bool) -> int:
         return 0 if ok else 1
     # The bytes of json.dumps(payload, indent=2, sort_keys=True): sorted keys,
     # ints and `pass` as JSON literals, and the "p/q" bounds and curve names
-    # (letters, digits and "/") quoted, since they need no escaping.
-    certificates = _json_list(
-        (_json_list((f"{k}", f'"{w}"'), 2) for k, w in result.certificates), 1
+    # (letters, digits and "/") quoted, since they need no escaping.  Neither
+    # list is empty: best_k >= 1, and every support holds a curve.
+    certificates = ",".join(
+        f'\n    [\n      {k},\n      "{w}"\n    ]' for k, w in result.certificates
     )
     write(
         f'{{\n  "best_k": {result.best_k},\n  "bound": "{bound}",\n'
-        f'  "cap": {result.cap},\n  "certificates": {certificates},\n'
+        f'  "cap": {result.cap},\n  "certificates": [{certificates}\n  ],\n'
         f'  "genus": {genus},\n  "pass": {"true" if ok else "false"},\n  "supports": ['
     )
-    for k, names in enumerate(result.sorted_names()):
-        write(("\n    " if k == 0 else ",\n    ") + _json_list(names, 2, '"'))
+    lead = "\n    "
+    for names in result.sorted_names('",\n      "'):
+        write(f'{lead}[\n      "{names}"\n    ]')
+        lead = ",\n    "
     write(f'\n  ],\n  "upper_closed": "{surfaces.frac_str(upper)}"\n}}\n')
     return 0 if ok else 1
 

@@ -8,8 +8,11 @@ switch:side:slot endpoints, tag) and an "attach" section giving (genus,
 punctures) per boundary cycle.  Blank lines and lines starting with "#"
 are ignored everywhere, and lines end only at \\n, \\r\\n and \\r, not at
 the form feeds, U+2028 and the like that str.splitlines also breaks at.
-Files are UTF-8; one leading byte-order mark is dropped.  Numbers are ASCII
-digits; a genus or puncture count has at most SURFACE_DIGITS of them.
+Fields are separated, and lines trimmed, only at ASCII spaces and tabs, not
+at the \\x1c-\\x1f, \\x85, \\xa0, U+2028 and other characters that
+str.split() also takes for whitespace.  Files are UTF-8; one leading
+byte-order mark is dropped.  Numbers are ASCII digits; a genus or puncture
+count has at most SURFACE_DIGITS of them.
 """
 
 from __future__ import annotations
@@ -89,10 +92,15 @@ def _read_utf8(path, error: type[ValueError]) -> str:
 def _data_lines(text: str):
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
+        line = raw.strip(" \t")
         if not line or line.startswith("#"):
             continue
         yield lineno, line
+
+
+def _fields(line: str) -> list[str]:
+    """The fields of `line` between runs of ASCII spaces and tabs."""
+    return list(filter(None, line.replace("\t", " ").split(" ")))
 
 
 # --- matrices ---------------------------------------------------------------
@@ -109,7 +117,7 @@ def parse_matrix_text(text: str) -> MatrixDocument:
     if not lines:
         raise MatrixFileError("empty matrix file")
     lineno, header = lines[0]
-    parts = header.split()
+    parts = _fields(header)
     if len(parts) != 2 or not all(_is_uint(p) for p in parts):
         raise MatrixFileError(f'line {lineno}: expected "rows cols", got {header!r}')
     rows, cols = _ints(parts, lineno, MatrixFileError)
@@ -124,7 +132,7 @@ def parse_matrix_text(text: str) -> MatrixDocument:
             )
         lineno, line = lines[pos]
         pos += 1
-        cells = line.split()
+        cells = _fields(line)
         if not all(_is_uint(c) for c in cells):
             raise MatrixFileError(f"line {lineno}: row entries must be nonnegative integers")
         if len(cells) != cols:
@@ -138,7 +146,7 @@ def parse_matrix_text(text: str) -> MatrixDocument:
         if line.startswith("real:"):
             if real_set is not None:
                 raise MatrixFileError(f'line {lineno}: duplicate "real:" line')
-            items = line[len("real:"):].split()
+            items = _fields(line[len("real:"):])
             if not items or not all(_is_uint(i) for i in items):
                 raise MatrixFileError(
                     f'line {lineno}: "real:" needs 0-based indices'
@@ -147,7 +155,7 @@ def parse_matrix_text(text: str) -> MatrixDocument:
         elif line.startswith("surface:"):
             if surface is not None:
                 raise MatrixFileError(f'line {lineno}: duplicate "surface:" line')
-            items = line[len("surface:"):].split()
+            items = _fields(line[len("surface:"):])
             if len(items) != 2 or not all(_is_uint(i) for i in items):
                 raise MatrixFileError(f'line {lineno}: "surface:" needs "g n"')
             sig = _surface_ints(items, lineno, MatrixFileError)
@@ -212,7 +220,7 @@ def parse_track_text(text: str) -> TrackDocument:
     attach_max_line = 0
     section = None
     for lineno, line in _data_lines(text):
-        parts = line.split()
+        parts = _fields(line)
         head = parts[0]
         if head == "surface":
             if surface is not None:

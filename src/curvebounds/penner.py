@@ -13,10 +13,13 @@ The trace runs on int bitmasks, one bit per curve: family f (a, b, c =
 each family's g-bit row, and at most 3g - 1 steps do more, since each of
 them adds a curve to the support.  So the trace makes one pass per such
 event: it reads the number of pure rotations before the event off the
-closed neighbourhood of the support, skips them, and makes the event's
-step.  The work is O(g) events of O(g)-bit operations; the per-step
-supports and certificates are rebuilt on demand by replaying the
-rotations.  The test suite cross-checks it against an independent
+closed neighbourhood N[S] of the support, skips them, and makes the
+event's step.  N[S] is kept across events: it rotates with S, and a twist
+that adds a curve adds that curve's neighbourhood.  The work is O(g)
+events of a few O(g)-bit operations each.  The per-step supports and
+certificates are rebuilt on demand by replaying the rotations, and a
+support's curve names are read off its bytes through tables built once
+per report.  The test suite cross-checks the trace against an independent
 set-based model of the same system and against the plain step-by-step
 loop.
 """
@@ -27,7 +30,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, islice
-from operator import itemgetter
+from operator import getitem
 from typing import NamedTuple
 
 __all__ = [
@@ -39,7 +42,6 @@ __all__ = [
 ]
 
 FAMILIES = ("a", "b", "c")
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class BaseCurve(NamedTuple):
@@ -59,10 +61,12 @@ def k_star(genus: int) -> int:
 
 
 def _rotate(x: int, g: int, j: int) -> int:
-    """`x` with each family's g-bit row rotated j < g places toward bit 0:
+    """`x` with each family's g-bit row rotated j <= g places toward bit 0:
     the curve of index i moves to index i - j (mod g)."""
-    lo = ((1 << j) - 1) * (1 | 1 << g | 1 << 2 * g)
-    return ((x & ~lo) >> j) | ((x & lo) << (g - j))
+    lows = 1 | 1 << g | 1 << 2 * g
+    lo = (lows << j) - lows  # the j lowest bits of each row
+    x_lo = x & lo
+    return (x ^ x_lo) >> j | x_lo << (g - j)
 
 
 def _closed(x: int, g: int) -> int:
@@ -84,9 +88,12 @@ class TraceResult:
     rotation, from the start (k = 0); every other step up to K = `steps`
     only rotates the support.  `masks` (the supports S_k), `certificates`
     and `supports` are rebuilt from it by replaying rotations on first use.
-    One curve table maps each bit to its curve, and one decoder turns each
-    replayed mask into flags in the curves' string order; `certificates`
-    reads the table, `supports` and `sorted_names` read the decoder.
+    One curve table maps each bit to its curve, and `certificates` reads
+    it.  One decoder maps each replayed mask to its string-order mask, whose
+    bit r stands for the r-th curve in the names' string order (a1, a10,
+    a100, a11, ...), by looking up each byte of the mask in a table built
+    once per decoder; `supports` and `sorted_names` read those masks, and
+    `sorted_names` turns each into text through a second table per byte.
     The certified iterates are exactly 1..`best_k`, and `bound` is 2/`best_k`.
     Immutable; the instance dict holds the fields and the cached properties.
     """
@@ -133,17 +140,21 @@ class TraceResult:
         indices = range(1, self.genus + 1)
         return tuple(BaseCurve(family, i) for family in FAMILIES for i in indices)
 
-    def _decode(self) -> tuple[list[BaseCurve], Iterator[tuple[int, ...]]]:
+    def _decode(self) -> tuple[list[BaseCurve], Iterator[int]]:
         """The curves in string order (a1, a10, a100, a11, ...) and, for each
-        replayed support S_k, one 0/1 flag per curve in that order."""
+        replayed support S_k, its string-order mask: bit r is set when the
+        r-th curve in that order lies in S_k.  One table per byte of the
+        index-order mask gives that byte's part of the string-order mask."""
         curves = self._curves
-        nbits = len(curves)
-        order = sorted(range(nbits), key=lambda cid: str(curves[cid]))
-        # format() puts bit cid at string position nbits - 1 - cid.
-        pick = itemgetter(*(nbits - 1 - cid for cid in order))
-        spec = f"0{nbits}b"
-        flags = (pick(format(m, spec).encode().translate(_BIT_BYTES)) for m in self._replay())
-        return [curves[cid] for cid in order], flags
+        order = sorted(range(len(curves)), key=lambda cid: str(curves[cid]))
+        bits = [0] * len(curves)  # the string-order bit of each index-order bit
+        for r, cid in enumerate(order):
+            bits[cid] = 1 << r
+        parts = _byte_tables(bits, 0)
+        nbytes = len(parts)
+        # The parts of a mask share no bit, so their sum is their union.
+        masks = (sum(map(getitem, parts, m.to_bytes(nbytes, "little"))) for m in self._replay())
+        return [curves[cid] for cid in order], masks
 
     @cached_property
     def certificates(self) -> tuple[tuple[int, BaseCurve], ...]:
@@ -161,15 +172,32 @@ class TraceResult:
     @cached_property
     def supports(self) -> tuple[frozenset, ...]:
         """The support S_k as a set of curves for k = 0..steps."""
-        ordered, flags = self._decode()
+        ordered, masks = self._decode()
+        # Bit r of a string-order mask is character -1 - r of its binary text.
+        flags = (map("1".__eq__, reversed(f"{m:b}")) for m in masks)
         return tuple(frozenset(compress(ordered, f)) for f in flags)
 
-    def sorted_names(self) -> Iterator[Iterator[str]]:
-        """Each support's curve names in string order, read from the same
-        decoder as `supports`: no sort per support and no `masks` tuple."""
-        ordered, flags = self._decode()
-        names = [str(c) for c in ordered]
-        return (compress(names, f) for f in flags)
+    def sorted_names(self, sep: str) -> Iterator[str]:
+        """Each support's curve names in string order, joined by `sep`: the
+        bytes of its string-order mask are looked up in one table of text per
+        byte, so there is no sort per support and no `masks` tuple."""
+        ordered, masks = self._decode()
+        text = _byte_tables([f"{sep}{c}" for c in ordered], "")
+        nbytes, cut = len(text), len(sep)
+        return ("".join(map(getitem, text, m.to_bytes(nbytes, "little")))[cut:] for m in masks)
+
+
+def _byte_tables(items: list, empty) -> list[list]:
+    """For each run of 8 items, the 256 sums of its subsets (fewer for a
+    shorter last run), indexed by byte value: bit i of the byte picks the
+    run's i-th item.  Each table is built by doubling."""
+    tables = []
+    for start in range(0, len(items), 8):
+        table = [empty]
+        for item in items[start:start + 8]:
+            table += [x + item for x in table]
+        tables.append(table)
+    return tables
 
 
 def trace(genus: int, cap: int | None = None) -> TraceResult:
@@ -185,9 +213,11 @@ def trace(genus: int, cap: int | None = None) -> TraceResult:
     of a twist curve, to a_{g-1}, and N[{a_{g-1}}] = {a_{g-1}, b_{g-1}}; so
     the first such event comes at k >= 2 and `best_k` >= 1.
 
-    Each pass of the loop handles one event: it skips the pure rotations
-    before it, makes its step and computes its N[S_k], which gives both the
-    next pass's run and `best_k`.
+    Each pass of the loop handles one event: it rotates S and N[S] past the
+    pure rotations before it and the event's own rotation at once, twists,
+    and adds the neighbourhood of each curve the twists add to N[S], which
+    then gives both the next pass's run and `best_k`.  So `_closed` runs four
+    times per trace: for the start and for the three twist curves.
     """
     g = genus
     if g < 2:
@@ -198,42 +228,50 @@ def trace(genus: int, cap: int | None = None) -> TraceResult:
         raise ValueError(f"cap must be >= 1, got {cap}")
 
     full = (1 << 3 * g) - 1
-    mask = (1 << g) - 1
     lows = 1 | (1 << g) | (1 << 2 * g)  # the three index-1 bits
-    shift = g - 1
-    # The twist curves a_1, b_1, c_1 in twist order, each with the curves it
-    # meets.
-    twists = [(1 << c, _closed(1 << c, g) & ~(1 << c)) for c in (0, g, 2 * g)]
+    g2 = 2 * g
+    # The twist curves a_1, b_1, c_1 in twist order, each as (the curves it
+    # meets, itself, its closed neighbourhood), all rotated once: an event's
+    # rotation maps S and N[S] bit for bit, so the loop rotates first and
+    # twists in the rotated frame.
+    twists = []
+    for c in (0, g, g2):
+        near_c = _closed(1 << c, g)
+        twists.append(tuple(_rotate(x, g, 1) for x in (near_c & ~(1 << c), 1 << c, near_c)))
 
     # A step is a pure rotation unless some twist curve lies in N[S] but not
-    # in S.  N commutes with the rotation, so bit j of a family's row of
-    # N[S] \ S says whether its twist curve would be that after j rotations;
-    # the least set bit over the three rows is the number of pure rotations
-    # before the next step that adds a curve.  N[S] = S only for the full
-    # system, since the chain is connected.
+    # in S.  N commutes with the rotation, so bit i of a family's row of
+    # N[S] \ S says whether its twist curve would be that after i rotations;
+    # one more than the least set bit over the three rows is the number j of
+    # steps up to and including the next event; `word` ORs the three rows
+    # onto the low g bits, and its least set bit lies there.  N[S] = S only
+    # for the full system, since the chain is connected.
     s = 1 << (g - 1)  # a_g
     near = _closed(s, g)
     events = [(0, s)]
     best_k = None
     k = 0
     while k < cap:
-        fresh = near & ~s
+        fresh = near ^ s  # N[S] \ S, since S lies in N[S]
         if not fresh:  # the full system: the next step repeats it
             k += 1
             break
-        word = (fresh | fresh >> g | fresh >> 2 * g) & mask
-        run = min((word & -word).bit_length() - 1, cap - k)
-        s = _rotate(s, g, run)
-        k += run
-        if k == cap:
+        word = fresh | fresh >> g | fresh >> g2
+        j = (word & -word).bit_length()
+        k += j
+        if k > cap:
+            k = cap
             break
-        k += 1
-        for cbit, nbrs in twists:
+        # _rotate(x, g, j) for S and N[S], written out.
+        lo = (lows << j) - lows
+        s_lo, near_lo = s & lo, near & lo
+        s = (s ^ s_lo) >> j | s_lo << (g - j)
+        near = (near ^ near_lo) >> j | near_lo << (g - j)
+        for nbrs, cbit, cnear in twists:
             if s & nbrs:
                 s |= cbit
-        s = ((s & ~lows) >> 1) | ((s & lows) << shift)
+                near |= cnear
         events.append((k, s))
-        near = _closed(s, g)
         if best_k is None and near == full:
             best_k = k - 1
 

@@ -188,6 +188,20 @@ def test_penner_report_bytes_match_reference(capsys, genus):
             assert (capsys.readouterr().out, code) == reference_penner_report(result, as_json)
 
 
+@pytest.mark.parametrize(
+    "genus, cap",
+    [(9, None), (10, None), (99, None), (100, None), (101, None), (120, None), (101, 5000)],
+)
+def test_penner_report_bytes_match_reference_across_digit_lengths(capsys, genus, cap):
+    """The string order of the curve names changes where the indices gain a
+    digit (a1, a10, a100, a101, a11, ...), so the decoder is checked on
+    both sides of 10 and 100."""
+    result = trace(genus, cap)
+    for as_json in (False, True):
+        code = run_penner(genus, cap, as_json)
+        assert (capsys.readouterr().out, code) == reference_penner_report(result, as_json)
+
+
 def test_bounds_reads_best_k_only(capsys, monkeypatch):
     """`bounds` needs only best_k and bound, so it never replays a trace."""
     def refuse(self):
@@ -289,6 +303,7 @@ CHI_ZERO_MATRIX = "1 1\n1\nreal: 0\nsurface: 1 0\n"
         "1 1\n1\nreal: 0\n",  # real without surface
         "1 1\n1\nsurface: 2 0\n",  # surface without real
         "not a matrix\n",
+        "2 2\n1\x1c1\n1 1\n",  # \x1c is no field separator
         "2 2\n0 1\n1 0\nreal: 0 1\nsurface: 2 0\n",  # imprimitive restriction
         "2 2\n1 0\n0 1\nreal: 0 1\nsurface: 2 0\n",  # reducible restriction
         CHI_ZERO_MATRIX,
@@ -662,6 +677,20 @@ def test_penner_json_streams_within_256_mib():
     assert err == b""
     assert len(out) > 25_000_000
     assert out.startswith(b'{\n  "best_k": ') and out.endswith(b"}\n")
+
+
+def test_penner_genus_1000_decoder_tables_within_256_mib():
+    """The decoder's byte tables take about 20 g^2 + 15,000 g bytes, 34 MB
+    at genus 1000; they and the trace still fit in a 256 MiB address space
+    (set in the child only)."""
+    with _cli_subprocess(["penner", "--genus", "1000", "--cap", "3", "--json"],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         preexec_fn=partial(_limit_address_space, 256 << 20)) as proc:
+        out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1  # 2/3 is above the closed-form bound
+    assert err == b""
+    payload = json.loads(out)
+    assert payload["supports"][0] == ["a1000"] and len(payload["supports"]) == 4
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

@@ -252,6 +252,47 @@ def test_track_comment_keeps_line_like_characters(sep, tmp_path):
         parse_track_text(f"surface 2 0\n# c{sep}x\nswitches L\nbranches\nbad\n")
 
 
+# Characters str.split() and str.strip() take for whitespace that the file
+# formats do not: fields are separated, and lines trimmed, only at ASCII
+# spaces and tabs.
+UNICODE_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028")
+
+
+@pytest.mark.parametrize("ws", UNICODE_SPACES)
+def test_matrix_fields_split_only_at_ascii_space_and_tab(ws):
+    assert parse_matrix_text("2 2\n1\t 1\n \t1  1\t\n").matrix == IntMatrix([[1, 1], [1, 1]])
+    for text, lineno in [
+        (f"2{ws}2\n1 1\n1 1\n", 1),
+        (f"2 2\n1{ws}1\n1 1\n", 2),
+        (f"1 2\n1{ws}0\n", 2),
+        (f"1 1\n1{ws}\n", 2),
+        (f"1 1\n{ws}1\n", 2),
+        (f"2 2\n1 1\n1 1\nreal: 0{ws}1\nsurface: 2 0\n", 4),
+        (f"2 2\n1 1\n1 1\nreal: 0\nsurface: 2{ws}0\n", 5),
+        (f"2 2\n1 1\n1 1\nreal:{ws}0\nsurface: 2 0\n", 4),
+        (f"1 1\n1\n{ws}\n", 3),
+    ]:
+        with pytest.raises(MatrixFileError, match=f"^line {lineno}: "):
+            parse_matrix_text(text)
+
+
+@pytest.mark.parametrize("ws", UNICODE_SPACES)
+def test_track_fields_split_only_at_ascii_space_and_tab(ws):
+    branch = "x s:0:0 s:1:0 plain\n"
+    tabbed = TRACK_HEAD + "x\ts:0:0 \t s:1:0\tplain\t\n"
+    assert parse_track_text(tabbed) == parse_track_text(TRACK_HEAD + branch)
+    for text, lineno in [
+        (f"surface 2{ws}0\nswitches s\nbranches\n" + branch, 1),
+        (TRACK_HEAD + f"x s:0:0{ws}s:1:0 plain\n", 4),
+        (TRACK_HEAD + f"x s:0:0 s:1:0{ws}plain\n", 4),
+        (TRACK_HEAD + f"x s:0:0 s:1:{ws}0 plain\n", 4),
+        (TRACK_HEAD + branch + f"attach\n0{ws}2 0\n", 6),
+        (TRACK_HEAD + branch + f"attach\n0 2 0{ws}\n", 6),
+    ]:
+        with pytest.raises(TrackFileError, match=f"^line {lineno}: "):
+            parse_track_text(text)
+
+
 def test_line_ends_are_newline_return_and_both():
     for nl in ("\n", "\r\n", "\r"):
         with pytest.raises(MatrixFileError, match="^line 4: expected 2 entries"):

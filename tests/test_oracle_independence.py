@@ -1,10 +1,11 @@
 """The recurrence and Penner oracles in `tests/helpers.py` stay independent
 of the code they check.  They build their own graphs from the branches'
-slot data and their own supports from the intersection pattern, so none of
-them may read the library's switch-side index (`TrainTrack.sides`,
-`TrainTrack.ends`, the old `side_ends`), its route graph, the trace's
-closed-neighbourhood step or the digraph layer.  `helpers.py` is read as
-text and parsed, never imported."""
+slot data, their own supports from the intersection pattern and their own
+curve names from the support bitmasks, so none of them may read the
+library's switch-side index (`TrainTrack.sides`, `TrainTrack.ends`, the old
+`side_ends`), its route graph, the trace's closed-neighbourhood step, the
+support decoder or the digraph layer.  `helpers.py` is read as text and
+parsed, never imported."""
 
 from __future__ import annotations
 
@@ -13,7 +14,11 @@ from pathlib import Path
 
 HELPERS = Path(__file__).resolve().parent / "helpers.py"
 
-BANNED = frozenset({"sides", "ends", "side_ends", "_route_graph", "_closed", "_digraph"})
+BANNED = frozenset({
+    "sides", "ends", "side_ends", "_route_graph", "_closed", "_digraph",
+    # the support decoder
+    "_curves", "_decode", "_byte_tables", "sorted_names",
+})
 
 ORACLES = (
     # recurrence
@@ -21,7 +26,7 @@ ORACLES = (
     "darts_strongly_connected", "some_closed_route", "counting_measure",
     # Penner
     "PennerSystem", "twist_support", "rotate", "step", "certify",
-    "oracle_trace", "step_trace", "penner_matrix",
+    "oracle_trace", "step_trace", "penner_matrix", "reference_penner_report",
 )
 
 
@@ -70,5 +75,8 @@ def test_name_walk_catches_every_form():
         "    getattr(track, 'ends')\n"
         "    p._closed(1, 2)\n"
         "    side_ends = _route_graph(track)\n"
+        "    _curves, masks = p.TraceResult._decode(b)\n"
+        "    b.sorted_names(' ')\n"
+        "    p._byte_tables(masks, 0)\n"
     )
     assert _names(ast.parse(text)) & BANNED == BANNED

@@ -191,23 +191,27 @@ def test_trace_matches_set_implementation():
         t = trace(g)
         assert t.supports == supports, g
         assert t.certificates == certificates, g
-        assert [list(n) for n in t.sorted_names()] == [sorted(map(str, s)) for s in supports], g
+        for sep in (" ", ", ", '",\n      "'):
+            expected = [sep.join(sorted(map(str, s))) for s in supports]
+            assert list(t.sorted_names(sep)) == expected, (g, sep)
     supports, certificates = oracle_trace(7, cap=11)
     t = trace(7, cap=11)
     assert len(supports) == 12
     assert (t.supports, t.certificates) == (supports, certificates)
-    assert [list(n) for n in t.sorted_names()] == [sorted(map(str, s)) for s in supports]
+    assert list(t.sorted_names(" ")) == [" ".join(sorted(map(str, s))) for s in supports]
+
+
+def _events(masks, genus):
+    """`events` for the supports `masks`: S_0 and then (k, S_k) for exactly
+    the steps k whose support is not the rotation of the one before."""
+    changed = [(k, m) for k, m in enumerate(masks) if k and m != _rotate(masks[k - 1], genus, 1)]
+    return ((0, masks[0]), *changed)
 
 
 def _assert_same_trace(genus, cap):
     t, ref = trace(genus, cap), step_trace(genus, cap)
     assert t.masks == ref.masks, (genus, cap)
-    # `events` is S_0 and then (k, S_k) for exactly the steps k whose support
-    # is not the rotation of the one before.
-    changed = [
-        (k, m) for k, m in enumerate(ref.masks) if k and m != _rotate(ref.masks[k - 1], genus, 1)
-    ]
-    assert t.events == ((0, ref.masks[0]), *changed), (genus, cap)
+    assert t.events == _events(ref.masks, genus), (genus, cap)
     assert t.certificates == ref.certificates, (genus, cap)
     assert (t.best_k, t.bound) == (ref.best_k, ref.bound), (genus, cap)
     assert t.best_k >= 1 and t.bound == Fraction(2, t.best_k), (genus, cap)
@@ -229,7 +233,10 @@ def test_trace_matches_step_oracle_at_every_cap(genus):
 
 @pytest.mark.parametrize("genus", [*range(41, 401, 17), 400])
 def test_trace_best_k_matches_step_oracle_large_genus(genus):
-    assert trace(genus).best_k == step_trace(genus).best_k
+    t, ref = trace(genus), step_trace(genus)
+    assert t.best_k == ref.best_k
+    assert t.steps == len(ref.masks) - 1
+    assert t.events == _events(ref.masks, genus)
 
 
 @pytest.mark.parametrize("genus", range(2, 26))
@@ -293,8 +300,9 @@ def test_trace_events_are_bounded():
 
 
 def test_trace_closes_each_event_once(monkeypatch):
-    """`trace()` computes N[S] once per event, plus once for each of the
-    three twist curves' neighbours, and never again after its loop."""
+    """`trace()` computes N[S] four times, whatever the genus: for the start
+    and for each of the three twist curves.  Its loop keeps N[S] by rotating
+    it and adding the twist curves' neighbourhoods."""
     calls = 0
     closed = penner._closed
 
@@ -307,7 +315,7 @@ def test_trace_closes_each_event_once(monkeypatch):
     for g in range(2, 201):
         calls = 0
         t = trace(g)
-        assert calls <= len(t.events) + 3, (g, calls, len(t.events))
+        assert calls == 4, (g, calls, len(t.events))
 
 
 def test_trace_supports_grow_until_saturation():
