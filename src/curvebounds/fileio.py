@@ -10,9 +10,13 @@ are ignored everywhere, and lines end only at \\n, \\r\\n and \\r, not at
 the form feeds, U+2028 and the like that str.splitlines also breaks at.
 Fields are separated, and lines trimmed, only at ASCII spaces and tabs, not
 at the \\x1c-\\x1f, \\x85, \\xa0, U+2028 and other characters that
-str.split() also takes for whitespace.  Files are UTF-8; one leading
-byte-order mark is dropped.  Numbers are ASCII digits; a genus or puncture
-count has at most SURFACE_DIGITS of them.
+str.split() also takes for whitespace.  Switch and branch names, and the
+switch part of an endpoint, must be printable (str.isprintable), so no
+\\x1c-\\x1f, \\x7f, \\x85, \\xa0, U+2028, U+2029, U+FEFF or other control,
+separator or format character: a text report prints each name on its own
+line.  Files are UTF-8; one leading byte-order mark is dropped.  Numbers
+are ASCII digits; a genus or puncture count has at most SURFACE_DIGITS of
+them.
 """
 
 from __future__ import annotations
@@ -203,13 +207,22 @@ class TrackDocument(NamedTuple):
         return track, attachment
 
 
+def _name(token: str, lineno: int) -> str:
+    """A switch or branch name: printable characters only, so that a text
+    report prints it on one line."""
+    if not token.isprintable():
+        raise TrackFileError(f"line {lineno}: name {token!r} is not printable")
+    return token
+
+
 def _parse_end(token: str, lineno: int) -> traintrack.BranchEnd:
     bits = token.split(":")
     if len(bits) != 3 or not _is_uint(bits[1]) or not _is_uint(bits[2]):
         raise TrackFileError(
             f"line {lineno}: endpoint must be switch:side:slot, got {token!r}"
         )
-    return traintrack.BranchEnd(bits[0], *_ints(bits[1:], lineno, TrackFileError))
+    switch = _name(bits[0], lineno)
+    return traintrack.BranchEnd(switch, *_ints(bits[1:], lineno, TrackFileError))
 
 
 def parse_track_text(text: str) -> TrackDocument:
@@ -231,19 +244,20 @@ def parse_track_text(text: str) -> TrackDocument:
             surface = surfaces.SurfaceSig(*sig)
         elif head == "switches":
             section = "switches"
-            switches.extend(parts[1:])
+            switches.extend(_name(p, lineno) for p in parts[1:])
         elif head == "branches":
             section = "branches"
         elif head == "attach":
             section = "attach"
         elif section == "switches":
-            switches.extend(parts)
+            switches.extend(_name(p, lineno) for p in parts)
         elif section == "branches":
             if len(parts) != 4:
                 raise TrackFileError(
                     f"line {lineno}: branch needs name, two endpoints and a tag"
                 )
             name, e0, e1, tag = parts
+            name = _name(name, lineno)
             ends = (_parse_end(e0, lineno), _parse_end(e1, lineno))
             branches.append(traintrack.Branch(name, ends, tag))
         elif section == "attach":

@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, islice
+from itertools import chain, islice
 from operator import getitem
 from typing import NamedTuple
 
@@ -89,11 +89,10 @@ class TraceResult:
     only rotates the support.  `masks` (the supports S_k), `certificates`
     and `supports` are rebuilt from it by replaying rotations on first use.
     One curve table maps each bit to its curve, and `certificates` reads
-    it.  One decoder maps each replayed mask to its string-order mask, whose
-    bit r stands for the r-th curve in the names' string order (a1, a10,
-    a100, a11, ...), by looking up each byte of the mask in a table built
-    once per decoder; `supports` and `sorted_names` read those masks, and
-    `sorted_names` turns each into text through a second table per byte.
+    it.  `supports` and `sorted_names` decode the replayed masks the same
+    way, by looking up each byte of a mask in a table built once per call
+    (`_byte_tables`): `supports` in a table of curve tuples, `sorted_names`
+    in a table of string-order bits and then of text.
     The certified iterates are exactly 1..`best_k`, and `bound` is 2/`best_k`.
     Immutable; the instance dict holds the fields and the cached properties.
     """
@@ -140,22 +139,6 @@ class TraceResult:
         indices = range(1, self.genus + 1)
         return tuple(BaseCurve(family, i) for family in FAMILIES for i in indices)
 
-    def _decode(self) -> tuple[list[BaseCurve], Iterator[int]]:
-        """The curves in string order (a1, a10, a100, a11, ...) and, for each
-        replayed support S_k, its string-order mask: bit r is set when the
-        r-th curve in that order lies in S_k.  One table per byte of the
-        index-order mask gives that byte's part of the string-order mask."""
-        curves = self._curves
-        order = sorted(range(len(curves)), key=lambda cid: str(curves[cid]))
-        bits = [0] * len(curves)  # the string-order bit of each index-order bit
-        for r, cid in enumerate(order):
-            bits[cid] = 1 << r
-        parts = _byte_tables(bits, 0)
-        nbytes = len(parts)
-        # The parts of a mask share no bit, so their sum is their union.
-        masks = (sum(map(getitem, parts, m.to_bytes(nbytes, "little"))) for m in self._replay())
-        return [curves[cid] for cid in order], masks
-
     @cached_property
     def certificates(self) -> tuple[tuple[int, BaseCurve], ...]:
         """(k, witness) for k = 1..best_k; the witness is the least curve
@@ -171,19 +154,32 @@ class TraceResult:
 
     @cached_property
     def supports(self) -> tuple[frozenset, ...]:
-        """The support S_k as a set of curves for k = 0..steps."""
-        ordered, masks = self._decode()
-        # Bit r of a string-order mask is character -1 - r of its binary text.
-        flags = (map("1".__eq__, reversed(f"{m:b}")) for m in masks)
-        return tuple(frozenset(compress(ordered, f)) for f in flags)
+        """The support S_k as a set of curves for k = 0..steps: each byte of
+        the replayed mask is looked up in one table of curve tuples per byte."""
+        parts = _byte_tables([(c,) for c in self._curves], ())
+        nbytes = len(parts)
+        return tuple(
+            frozenset(chain.from_iterable(map(getitem, parts, m.to_bytes(nbytes, "little"))))
+            for m in self._replay()
+        )
 
     def sorted_names(self, sep: str) -> Iterator[str]:
-        """Each support's curve names in string order, joined by `sep`: the
-        bytes of its string-order mask are looked up in one table of text per
-        byte, so there is no sort per support and no `masks` tuple."""
-        ordered, masks = self._decode()
-        text = _byte_tables([f"{sep}{c}" for c in ordered], "")
-        nbytes, cut = len(text), len(sep)
+        """Each support's curve names in string order (a1, a10, a100, a11,
+        ...), joined by `sep`.  One table per byte of the index-order mask
+        gives that byte's part of the string-order mask, whose bit r stands
+        for the r-th curve in that order; the bytes of that mask are looked
+        up in one table of text per byte, so there is no sort per support
+        and no `masks` tuple."""
+        curves = self._curves
+        order = sorted(range(len(curves)), key=lambda cid: str(curves[cid]))
+        bits = [0] * len(curves)  # the string-order bit of each index-order bit
+        for r, cid in enumerate(order):
+            bits[cid] = 1 << r
+        parts = _byte_tables(bits, 0)
+        text = _byte_tables([f"{sep}{curves[cid]}" for cid in order], "")
+        nbytes, cut = len(parts), len(sep)
+        # The parts of a mask share no bit, so their sum is their union.
+        masks = (sum(map(getitem, parts, m.to_bytes(nbytes, "little"))) for m in self._replay())
         return ("".join(map(getitem, text, m.to_bytes(nbytes, "little")))[cut:] for m in masks)
 
 

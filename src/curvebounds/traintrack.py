@@ -8,16 +8,16 @@ straight (top-top, bottom-bottom) and ends attached on the same side glue
 with a half twist.  This is exactly the orientable thickening, so boundary
 cycles, cusps and complementary regions all fall out of one traversal.
 A track numbers its switch sides once, while it validates (see
-`TrainTrack`); the traversal, the switch equations and recurrence all walk
-those nodes.  Recurrence is one pass over the switch-side graph: its
-strongly connected components decide it, and only a recurrent track goes
-on to the shortest paths that build its witness measure.
+`TrainTrack`); the traversal, the diagonal insertion, the switch equations
+and recurrence all walk those nodes.  Recurrence is one pass over the
+switch-side graph: its strongly connected components decide it, and only
+a recurrent track goes on to the shortest paths that build its witness
+measure.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
@@ -280,57 +280,45 @@ class BoundaryCycle(NamedTuple):
         return len(self.cusps)
 
 
-def _point(bidx: int, eidx: int, sheet: int) -> int:
-    return (bidx * 2 + eidx) * 2 + sheet
-
-
 def boundary_cycles(track: TrainTrack) -> tuple[BoundaryCycle, ...]:
     """Boundary components of the ribbon neighborhood, each with its cusp
     visits in traversal order.  Deterministic: cycles start at their least
     point and are listed by starting point.
-    """
-    npts = 4 * track.num_branches
-    branch_partner = [0] * npts
-    for bidx, b in enumerate(track.branches):
-        straight = b.ends[0].side != b.ends[1].side
-        for sheet in (0, 1):
-            other = sheet if straight else 1 - sheet
-            branch_partner[_point(bidx, 0, sheet)] = _point(bidx, 1, other)
-            branch_partner[_point(bidx, 1, other)] = _point(bidx, 0, sheet)
-    switch_partner = [0] * npts
-    cusp_at: dict[tuple[int, int], tuple[Cusp, int, int]] = {}
-    sides = track.sides
-    for v, ends in enumerate(sides):
-        # the outer sheets cross the switch to the other side's outer slots
-        switch_partner[_point(*ends[0], 0)] = _point(*sides[v ^ 1][0], 0)
-        switch_partner[_point(*ends[-1], 1)] = _point(*sides[v ^ 1][-1], 1)
-        for gap in range(len(ends) - 1):
-            lo = _point(*ends[gap], 1)      # bottom sheet of slot gap
-            hi = _point(*ends[gap + 1], 0)  # top sheet of slot gap+1
-            switch_partner[lo] = hi
-            switch_partner[hi] = lo
-            cusp = Cusp(track.switches[v >> 1], v & 1, gap)
-            cusp_at[(lo, hi)] = (cusp, gap, gap + 1)
-            cusp_at[(hi, lo)] = (cusp, gap + 1, gap)
-    visited = [False] * npts
+
+    Point 4b + 2e + t is sheet t (0 top, 1 bottom) of end e of branch b.  At
+    its switch side v and slot s the sheet turns toward slot s - 1 (top) or
+    s + 1 (bottom) of `sides[v]`: if that slot exists the walk crosses the
+    cusp between the two onto its other sheet, and otherwise it crosses the
+    switch to the same sheet of `sides[v ^ 1][0]` (top) or `[-1]` (bottom).
+    Along a branch the walk flips the end bit, and the sheet bit too when
+    both ends lie on one side (the half twist)."""
+    sides, switches = track.sides, track.switches
+    node = [v for pair in track.ends for v in pair]  # of end 2b + e
+    slot = [e.slot for b in track.branches for e in b.ends]
+    twist = [3 - ((a ^ z) & 1) for a, z in track.ends]
+    visited = [False] * len(twist) * 4
     cycles = []
-    for start in range(npts):
+    for start in range(len(visited)):
         if visited[start]:
             continue
         cusps = []
         size = 0
-        cur = start
+        p = start
         while True:
-            visited[cur] = True
-            size += 1
-            nxt = switch_partner[cur]
-            visited[nxt] = True
-            size += 1
-            if (cur, nxt) in cusp_at:
-                cusp, arrive, depart = cusp_at[(cur, nxt)]
-                cusps.append(CuspVisit(cusp, arrive, depart))
-            cur = branch_partner[nxt]
-            if cur == start:
+            v, s, t = node[p >> 1], slot[p >> 1], p & 1
+            n = s + 2 * t - 1
+            if 0 <= n < len(sides[v]):
+                cusp = Cusp(switches[v >> 1], v & 1, min(s, n))
+                cusps.append(CuspVisit(cusp, s, n))
+                b, e = sides[v][n]
+                q = 4 * b + 2 * e + 1 - t
+            else:
+                b, e = sides[v ^ 1][-t]
+                q = 4 * b + 2 * e + t
+            visited[p] = visited[q] = True
+            size += 2
+            p = q ^ twist[b]
+            if p == start:
                 break
         cycles.append(BoundaryCycle(cusps=tuple(cusps), size=size))
     return tuple(cycles)
@@ -492,16 +480,18 @@ def add_diagonals(
 
     Each diagonal terminates inside its two cusps; ends sharing a cusp are
     ordered by cyclic distance to their far endpoint, nearest distance
-    adjacent to the departure flank of the boundary traversal.  The i-th new
-    end of a side, in the gap after slot g, takes slot g + 1 + i; an old end
-    at slot s moves up by the number of new ends in gaps before s.
+    adjacent to the departure flank of the boundary traversal.  The new
+    (branch, end) pairs go into a copy of `track.sides`, in gap order: the
+    i-th new end of side v, in the gap after slot g, at position g + 1 + i.
+    Every end's slot is then its position in the copy.
     """
     _check_selection(cycles, selection)
     taken = {b.name for b in track.branches}
     names = (f"d{c}" for c in itertools.count() if f"d{c}" not in taken)
     fresh = list(itertools.islice(names, len(selection)))
-    inserts: dict[tuple[str, int], list[tuple[int, int, str, int]]] = {}
-    for name, (ci, (pi, pj)) in zip(fresh, selection):
+    node = {sw: 2 * i for i, sw in enumerate(track.switches)}
+    inserts = []
+    for bidx, (ci, (pi, pj)) in enumerate(selection, len(track.branches)):
         cycle = cycles[ci]
         for eidx, (pos, far) in enumerate(((pi, pj), (pj, pi))):
             visit = cycle.cusps[pos]
@@ -509,22 +499,18 @@ def add_diagonals(
             dist = (far - pos) % cycle.cusp_count
             # nearest far endpoint sits next to the departure flank
             key = -dist if visit.depart_slot == gap + 1 else dist
-            inserts.setdefault((sw, side), []).append((gap, key, name, eidx))
-    gaps: dict[tuple[str, int], list[int]] = {}
-    ends: dict[tuple[str, int], BranchEnd] = {}
-    for (sw, side), group in inserts.items():
-        group.sort()
-        gaps[(sw, side)] = [gap for gap, _, _, _ in group]
-        for i, (gap, _, name, eidx) in enumerate(group):
-            ends[(name, eidx)] = BranchEnd(sw, side, gap + 1 + i)
-    for b in track.branches:
-        for eidx, e in enumerate(b.ends):
-            shift = bisect_left(gaps.get((e.switch, e.side), ()), e.slot)
-            ends[(b.name, eidx)] = BranchEnd(e.switch, e.side, e.slot + shift)
+            inserts.append((node[sw] + side, gap, key, bidx, eidx))
+    sides = [list(pairs) for pairs in track.sides]
+    for v, gap, _, bidx, eidx in sorted(inserts):
+        sides[v].insert(gap + 1 + len(sides[v]) - len(track.sides[v]), (bidx, eidx))
+    ends = [[None, None] for _ in range(len(track.branches) + len(fresh))]
+    for v, pairs in enumerate(sides):
+        for slot, (bidx, eidx) in enumerate(pairs):
+            ends[bidx][eidx] = BranchEnd(track.switches[v >> 1], v & 1, slot)
     tags = [(b.name, b.tag) for b in track.branches] + [(n, "diagonal") for n in fresh]
     return TrainTrack(
         track.switches,
-        tuple(Branch(n, (ends[(n, 0)], ends[(n, 1)]), tag) for n, tag in tags),
+        tuple(Branch(n, tuple(e), tag) for (n, tag), e in zip(tags, ends)),
     )
 
 

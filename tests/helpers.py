@@ -19,7 +19,14 @@ from curvebounds.penner import BaseCurve, TraceResult
 from curvebounds.pfmatrix import IntMatrix, is_irreducible, primitivity_exponent
 from curvebounds.pfmatrix import BlockTransition
 from curvebounds.surfaces import SurfaceSig, frac_str, translation_length_upper_bound
-from curvebounds.traintrack import Branch, BranchEnd, TrainTrack
+from curvebounds.traintrack import (
+    BoundaryCycle,
+    Branch,
+    BranchEnd,
+    Cusp,
+    CuspVisit,
+    TrainTrack,
+)
 
 SEED = int(os.environ.get("CURVEBOUNDS_TEST_SEED", "7130823"))
 
@@ -463,6 +470,56 @@ def counting_measure(track: TrainTrack, route: list[int]) -> dict[str, Fraction]
     for bidx in route:
         weights[track.branches[bidx].name] += 1
     return weights
+
+
+def ribbon_cycles(track: TrainTrack) -> tuple[BoundaryCycle, ...]:
+    """Oracle: the boundary cycles of the ribbon neighbourhood, walked point
+    by point.  A point is (branch index, end index, sheet), sheet 0 the top
+    and 1 the bottom edge of the branch's band at that end; cycles start at
+    their least point and are listed by it.  At a switch side, in slot
+    order, the bottom edge of each end meets the top edge of the next across
+    the cusp between them, and the outermost edges run on to the outermost
+    edges of the other side.  A band keeps its edges from end to end when
+    its ends lie on opposite sides and swaps them (a half twist) when they
+    lie on one side.  The slot lists are built here from the branches' own
+    ends, unpacked as in `_dart_graph`; the record types are the library's."""
+    on_side: dict[tuple[str, int], list[tuple[int, int, int]]] = {}
+    for bidx, (_, branch_ends, _) in enumerate(track.branches):
+        for d, (switch, side, slot) in enumerate(branch_ends):
+            on_side.setdefault((switch, side), []).append((slot, bidx, d))
+    across = {}  # point -> (the point across the switch, the cusp visit or None)
+    for (switch, side), attached in on_side.items():
+        row = [(b, d) for _, b, d in sorted(attached)]
+        facing = [(b, d) for _, b, d in sorted(on_side[(switch, 1 - side)])]
+        across[row[0] + (0,)] = (facing[0] + (0,), None)
+        across[row[-1] + (1,)] = (facing[-1] + (1,), None)
+        for gap in range(len(row) - 1):
+            below, above = row[gap] + (1,), row[gap + 1] + (0,)
+            cusp = Cusp(switch, side, gap)
+            across[below] = (above, CuspVisit(cusp, gap, gap + 1))
+            across[above] = (below, CuspVisit(cusp, gap + 1, gap))
+    along = {}  # point -> the point at the branch's other end
+    for bidx, (_, ((_, side0, _), (_, side1, _)), _) in enumerate(track.branches):
+        twisted = int(side0 == side1)
+        for sheet in (0, 1):
+            along[(bidx, 0, sheet)] = (bidx, 1, sheet ^ twisted)
+            along[(bidx, 1, sheet ^ twisted)] = (bidx, 0, sheet)
+    cycles, seen = [], set()
+    for start in sorted(along):
+        if start in seen:
+            continue
+        visits, size, point = [], 0, start
+        while True:
+            nxt, visit = across[point]
+            seen.update((point, nxt))
+            size += 2
+            if visit is not None:
+                visits.append(visit)
+            point = along[nxt]
+            if point == start:
+                break
+        cycles.append(BoundaryCycle(tuple(visits), size))
+    return tuple(cycles)
 
 
 # --- Penner chain system ----------------------------------------------------

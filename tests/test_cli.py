@@ -554,6 +554,23 @@ def test_track_report_escapes_names_stdout_cannot_encode(tmp_path, encoding, con
     assert as_json.stdout.isascii()
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("ch", ["\u2028", "\u2029", "\x85", "\x1c", "\x7f", "\xa0", "\ufeff"],
+                         ids=lambda ch: f"U+{ord(ch):04X}")
+def test_track_refuses_unprintable_names(tmp_path, capsys, ch, as_json):
+    """A dead branch named lo<ch>op would print a line break, or an
+    invisible character, into the text report's verdict line; the file is
+    refused as unusable input instead, with one escaped error line."""
+    name = f"lo{ch}op"
+    p = tmp_path / "t.track"
+    p.write_text(DEAD_TRACK.replace("loop", name), encoding="utf-8")
+    assert main(["track", "--input", str(p), *["--json"] * as_json]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: line 4: name {name!r} is not printable\n"
+    assert err.isascii() and len(err.splitlines()) == 1
+
+
 # Runs the CLI as `python -m curvebounds.cli` does, then writes which
 # `curvebounds.*` modules have executed and which other modules the run
 # added.  A module registered lazily by the package is a `_LazyModule` until

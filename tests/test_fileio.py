@@ -293,6 +293,32 @@ def test_track_fields_split_only_at_ascii_space_and_tab(ws):
             parse_track_text(text)
 
 
+# Characters that are no field separator but not printable either: line and
+# paragraph separators, C0 and C1 controls, the no-break space and the
+# byte-order mark.  A switch or branch name may not hold one.
+UNPRINTABLE = (
+    "\u2028", "\u2029", "\x85", "\x1c", "\x1d", "\x1e", "\x1f", "\x7f", "\xa0", "\ufeff",
+)
+
+
+@pytest.mark.parametrize("ch", UNPRINTABLE, ids=lambda ch: f"U+{ord(ch):04X}")
+def test_track_names_must_be_printable(ch):
+    branch = "x s:0:0 s:1:0 plain\n"
+    for bad in (ch, f"lo{ch}op", f"s{ch}"):
+        for text, lineno in [
+            (f"surface 2 0\nswitches s {bad}\nbranches\n" + branch, 2),
+            (f"surface 2 0\nswitches s\nt {bad}\nbranches\n" + branch, 3),
+            (TRACK_HEAD + f"{bad} s:0:0 s:1:0 plain\n", 4),
+            (TRACK_HEAD + f"x {bad}:0:0 s:1:0 plain\n", 4),
+            (TRACK_HEAD + branch + f"x s:0:1 {bad}:1:1 plain\n", 5),
+        ]:
+            with pytest.raises(TrackFileError) as exc:
+                parse_track_text(text)
+            assert str(exc.value) == f"line {lineno}: name {bad!r} is not printable"
+            # a printable name outside ASCII in the same place loads
+            parse_track_text(text.replace(bad, "\u03c0"))
+
+
 def test_line_ends_are_newline_return_and_both():
     for nl in ("\n", "\r\n", "\r"):
         with pytest.raises(MatrixFileError, match="^line 4: expected 2 entries"):

@@ -1,9 +1,10 @@
-"""The recurrence and Penner oracles in `tests/helpers.py` stay independent
-of the code they check.  They build their own graphs from the branches'
-slot data, their own supports from the intersection pattern and their own
-curve names from the support bitmasks, so none of them may read the
-library's switch-side index (`TrainTrack.sides`, `TrainTrack.ends`, the old
-`side_ends`), its route graph, the trace's closed-neighbourhood step, the
+"""The recurrence, ribbon-boundary and Penner oracles in `tests/helpers.py`
+stay independent of the code they check.  They build their own graphs and
+slot lists from the branches' slot data, their own supports from the
+intersection pattern and their own curve names from the support bitmasks,
+so none of them may read the library's switch-side index
+(`TrainTrack.sides`, `TrainTrack.ends`, the old `side_ends`), its route
+graph, its ribbon boundary walk, the trace's closed-neighbourhood step, the
 support decoder or the digraph layer.  `helpers.py` is read as text and
 parsed, never imported."""
 
@@ -15,15 +16,17 @@ from pathlib import Path
 HELPERS = Path(__file__).resolve().parent / "helpers.py"
 
 BANNED = frozenset({
-    "sides", "ends", "side_ends", "_route_graph", "_closed", "_digraph",
+    "sides", "ends", "side_ends", "_route_graph", "boundary_cycles", "_closed",
+    "_digraph",
     # the support decoder
     "_curves", "_decode", "_byte_tables", "sorted_names",
 })
 
 ORACLES = (
-    # recurrence
+    # recurrence and the ribbon boundary
     "_dart_graph", "route_dead_branches", "route_recurrent",
     "darts_strongly_connected", "some_closed_route", "counting_measure",
+    "ribbon_cycles",
     # Penner
     "PennerSystem", "twist_support", "rotate", "step", "certify",
     "oracle_trace", "step_trace", "penner_matrix", "reference_penner_report",
@@ -76,6 +79,7 @@ def test_name_walk_catches_every_form():
         "    p._closed(1, 2)\n"
         "    side_ends = _route_graph(track)\n"
         "    _curves, masks = p.TraceResult._decode(b)\n"
+        "    cycles = tt.boundary_cycles(track)\n"
         "    b.sorted_names(' ')\n"
         "    p._byte_tables(masks, 0)\n"
     )

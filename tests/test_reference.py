@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
 
+from curvebounds.fileio import format_track
 from curvebounds.reference import (
     CUSP_CORNERS,
     FAN_APEX,
@@ -150,6 +152,25 @@ def test_genus3_cut_spine_extension_count():
     exts = enumerate_diagonal_extensions(base, att)
     assert len(exts) == 495
     assert len({frozenset((b.ends, b.tag) for b in e.branches) for e in exts}) == 495
+
+
+# SHA-256 of `fileio.format_track` over the extensions, in the order they are
+# returned: slot numbers, fresh dN names, branch order and family order.
+EXTENSION_DIGESTS = {
+    (2, ()): "7af47ca42dcbaa8dfb0db22397944af48e4f6e504d6600c0dafb504404a194d8",
+    (3, ((0, 5), (0, 2))): "7bb1b203b5157f027d37fbbc1d4aa80e15d229ff95899fb96eff6e9f421d9227",
+}
+
+
+@pytest.mark.parametrize("genus, chords", list(EXTENSION_DIGESTS))
+def test_extensions_are_pinned_byte_for_byte(genus, chords):
+    spine = build_spine(genus, CUSP_CORNERS[genus])
+    base = add_diagonals(spine, boundary_cycles(spine), [(0, c) for c in chords])
+    att = RegionAttachment(SurfaceSig(genus, 0), ((0, 0),) * (len(chords) + 1))
+    exts = enumerate_diagonal_extensions(base, att)
+    assert len(exts) == {2: 45, 3: 495}[genus]
+    text = "".join(format_track(e, att) for e in exts)
+    assert hashlib.sha256(text.encode()).hexdigest() == EXTENSION_DIGESTS[genus, chords]
 
 
 def test_dissection_count_is_little_schroeder():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvebounds.reference import CUSP_CORNERS, build_spine
+from curvebounds.reference import CUSP_CORNERS, build_spine, reference_track
 from curvebounds.surfaces import SurfaceSig
 from curvebounds.traintrack import (
     Branch,
@@ -40,6 +40,7 @@ from helpers import (
     noncrossing_subsets_brute,
     random_fold_schedule,
     random_small_track,
+    ribbon_cycles,
     rng_for,
     route_dead_branches,
     route_recurrent,
@@ -368,6 +369,30 @@ def test_cusp_violation_fixture():
     assert sorted(c.cusp_count for c in cycles) == [1, 1, 2, 4]
     assert total_cusps(t) == 8
     assert is_recurrent(t)[0]
+
+
+def test_boundary_matches_ribbon_oracle_on_random_tracks():
+    """Cycles, their order and sizes, and every cusp visit with its arrive
+    and depart slots, which `add_diagonals` reads."""
+    rng = rng_for("track-ribbon")
+    for _ in range(3000):
+        t = random_small_track(rng)
+        assert boundary_cycles(t) == ribbon_cycles(t), t.branches
+
+
+@pytest.mark.parametrize("pattern", ["alt", "zero"])
+@pytest.mark.parametrize("genus", [*range(2, 21), 60])
+def test_boundary_matches_ribbon_oracle_on_fan_spines(genus, pattern):
+    t = fan_spine(genus, pattern)
+    cycles = boundary_cycles(t)
+    assert cycles == ribbon_cycles(t)
+    assert sum(c.cusp_count for c in cycles) == total_cusps(t)
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_boundary_matches_ribbon_oracle_on_reference_tracks(genus):
+    t = reference_track(genus)
+    assert boundary_cycles(t) == ribbon_cycles(t)
 
 
 # --- region classification --------------------------------------------------
