@@ -5,7 +5,9 @@ Subcommands: `bounds` (closed-form bound table over a genus range),
 `track` (track file validation).  Exit status: 0 when every verdict in the
 run passes, 1 when a verdict fails or a table row degrades to an error
 marker, 2 for unusable input.  Exact rationals are printed as "p/q"; the
-only float in any JSON report is the flm_upper_float64 field.
+only float in any JSON report is the flm_upper_float64 field.  A `--json`
+report is compact JSON on one line: keys sorted, no whitespace between
+tokens, and a closing newline (`python -m json.tool` pretty-prints one).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ __all__ = ["main", "run_bounds", "run_penner", "run_pf", "run_track"]
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
         import json
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
         for line in lines:
             print(line)
@@ -107,23 +109,21 @@ def run_penner(genus: int, cap: int | None, as_json: bool) -> int:
         verdict = "PASS" if ok else "FAIL"
         write(f"2/{result.best_k} <= 4/(g^2+g-4) = {surfaces.frac_str(upper)}: {verdict}\n")
         return 0 if ok else 1
-    # The bytes of json.dumps(payload, indent=2, sort_keys=True): sorted keys,
-    # ints and `pass` as JSON literals, and the "p/q" bounds and curve names
-    # (letters, digits and "/") quoted, since they need no escaping.  Neither
-    # list is empty: best_k >= 1, and every support holds a curve.
-    certificates = ",".join(
-        f'\n    [\n      {k},\n      "{w}"\n    ]' for k, w in result.certificates
-    )
+    # The bytes of `_emit`'s json.dumps: sorted keys, no whitespace, ints and
+    # `pass` as JSON literals, and the "p/q" bounds and curve names (letters,
+    # digits and "/") quoted, since they need no escaping.  Neither list is
+    # empty: best_k >= 1, and every support holds a curve.
+    certificates = ",".join(f'[{k},"{w}"]' for k, w in result.certificates)
     write(
-        f'{{\n  "best_k": {result.best_k},\n  "bound": "{bound}",\n'
-        f'  "cap": {result.cap},\n  "certificates": [{certificates}\n  ],\n'
-        f'  "genus": {genus},\n  "pass": {"true" if ok else "false"},\n  "supports": ['
+        f'{{"best_k":{result.best_k},"bound":"{bound}","cap":{result.cap},'
+        f'"certificates":[{certificates}],"genus":{genus},'
+        f'"pass":{"true" if ok else "false"},"supports":['
     )
-    lead = "\n    "
-    for names in result.sorted_names('",\n      "'):
-        write(f'{lead}[\n      "{names}"\n    ]')
-        lead = ",\n    "
-    write(f'\n  ],\n  "upper_closed": "{surfaces.frac_str(upper)}"\n}}\n')
+    lead = '["'
+    for names in result.sorted_names('","'):
+        write(f'{lead}{names}"]')
+        lead = ',["'
+    write(f'],"upper_closed":"{surfaces.frac_str(upper)}"}}\n')
     return 0 if ok else 1
 
 

@@ -472,6 +472,19 @@ def counting_measure(track: TrainTrack, route: list[int]) -> dict[str, Fraction]
     return weights
 
 
+def switch_balance(track: TrainTrack, weights) -> dict[str, Fraction]:
+    """Oracle: per switch, the weight of the branch ends on side 0 minus that
+    of the ends on side 1, each end counted once (a loop with both ends on
+    one side twice).  The weights balance iff every value is 0.  The ends are read
+    off each branch and unpacked, as in `_dart_graph`, not from the
+    library's switch-side index or its switch equations."""
+    net = {switch: Fraction(0) for switch in track.switches}
+    for name, branch_ends, _ in track.branches:
+        for switch, side, _ in branch_ends:
+            net[switch] += -weights[name] if side else weights[name]
+    return net
+
+
 def ribbon_cycles(track: TrainTrack) -> tuple[BoundaryCycle, ...]:
     """Oracle: the boundary cycles of the ribbon neighbourhood, walked point
     by point.  A point is (branch index, end index, sheet), sheet 0 the top
@@ -746,7 +759,8 @@ def reference_penner_report(result: TraceResult, as_json: bool) -> tuple[str, in
         "pass": ok,
     }
     if as_json:
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n", 0 if ok else 1
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return text + "\n", 0 if ok else 1
     lines = [f"penner trace, genus {genus}, cap {result.cap}"]
     for k, s in enumerate(supports):
         lines.append(f"S_{k} = {{{' '.join(s)}}}")

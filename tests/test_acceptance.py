@@ -59,6 +59,7 @@ from helpers import (
     random_small_track,
     rng_for,
     route_recurrent,
+    switch_balance,
     synthetic_block_transition,
 )
 
@@ -186,6 +187,7 @@ def test_criterion_08_reference_tracks_and_extensions(capsys):
             ok, witness = is_recurrent(track)
             assert ok and all(w >= 1 for w in witness.values())
             assert check_measure(track, witness)
+            assert not any(switch_balance(track, witness).values())
             counts = branch_count_report(track, SurfaceSig(genus, 0))
             assert counts.total_ok and counts.real_ok
 

@@ -571,6 +571,41 @@ def test_track_refuses_unprintable_names(tmp_path, capsys, ch, as_json):
     assert err.isascii() and len(err.splitlines()) == 1
 
 
+# --- JSON layout ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args, content, code",
+    [
+        (["bounds", "--genus-min", "2", "--genus-max", "6"], None, 0),
+        (["bounds", "--genus-min", "0", "--genus-max", "2", "--punctures", "1"], None, 1),
+        (["penner", "--genus", "12"], None, 0),
+        (["penner", "--genus", "12", "--cap", "1"], None, 1),
+        (["pf"], "2 2\n1 1\n1 0\n", 0),
+        (["pf"], CHAIN_MATRIX, 0),
+        (["pf"], "1 1\n0\n", 0),
+        (["track"], data_path("genus2_maximal.track").read_text(), 0),
+        (["track"], TWO_VALENT_TRACK, 1),
+        (["track"], BARBELL, 1),
+        (["track"], DEAD_TRACK, 1),
+    ],
+    ids=["bounds-closed", "bounds-punctured-error-row", "penner", "penner-cap-1",
+         "pf-plain", "pf-block", "pf-reducible", "track-pass", "track-structure",
+         "track-euler", "track-no-route"],
+)
+def test_json_reports_are_compact_with_sorted_keys(tmp_path, capsys, args, content, code):
+    """Every `--json` report, from `json.dumps` or from the streaming
+    `penner` writer, is one line of JSON with sorted keys and no whitespace
+    between tokens, ended by a newline."""
+    if content is not None:
+        p = tmp_path / "input"
+        p.write_text(content)
+        args = [*args, "--input", str(p)]
+    assert main([*args, "--json"]) == code
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
+
+
 # Runs the CLI as `python -m curvebounds.cli` does, then writes which
 # `curvebounds.*` modules have executed and which other modules the run
 # added.  A module registered lazily by the package is a `_LazyModule` until
@@ -684,20 +719,21 @@ def test_huge_genus_out_of_memory_exits_2_with_one_line(args):
 
 
 def test_penner_json_streams_within_256_mib():
-    """The genus-150 report is over 25 MB; written support by support from
-    the masks it fits in a 256 MiB address space (set in the child only)."""
-    with _cli_subprocess(["penner", "--genus", "150", "--json"],
+    """The genus-180 report is over 25 MB (28.5 MB); written support by
+    support from the masks it fits in a 256 MiB address space (set in the
+    child only)."""
+    with _cli_subprocess(["penner", "--genus", "180", "--json"],
                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                          preexec_fn=partial(_limit_address_space, 256 << 20)) as proc:
         out, err = proc.communicate(timeout=120)
     assert proc.returncode == 0
     assert err == b""
     assert len(out) > 25_000_000
-    assert out.startswith(b'{\n  "best_k": ') and out.endswith(b"}\n")
+    assert out.startswith(b'{"best_k":') and out.endswith(b"}\n")
 
 
 def test_penner_genus_1000_decoder_tables_within_256_mib():
-    """The decoder's byte tables take about 20 g^2 + 15,000 g bytes, 34 MB
+    """The decoder's byte tables take about 20 g^2 + 12,000 g bytes, 32 MB
     at genus 1000; they and the trace still fit in a 256 MiB address space
     (set in the child only)."""
     with _cli_subprocess(["penner", "--genus", "1000", "--cap", "3", "--json"],
@@ -720,11 +756,12 @@ def test_penner_genus_1000_decoder_tables_within_256_mib():
     ids=["penner", "bounds"],
 )
 def test_closed_stdout_exits_2_with_one_line(args, unbuffered):
-    """A reader that leaves after one line.  Both reports (710 KB and
-    337 KB) are far larger than a pipe's buffer, so the writer is still
-    writing when the pipe closes."""
+    """A reader that leaves after 1,024 bytes (a compact JSON report is one
+    line, which `readline` would drain).  Both reports (710 KB and 201 KB)
+    are far larger than a pipe's buffer, so the writer is still writing
+    when the pipe closes."""
     with _cli_subprocess(args, unbuffered, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        proc.stdout.readline()
+        proc.stdout.read(1024)
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
     _assert_one_error_line(proc, err)

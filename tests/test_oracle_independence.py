@@ -1,11 +1,12 @@
-"""The recurrence, ribbon-boundary and Penner oracles in `tests/helpers.py`
-stay independent of the code they check.  They build their own graphs and
-slot lists from the branches' slot data, their own supports from the
-intersection pattern and their own curve names from the support bitmasks,
-so none of them may read the library's switch-side index
-(`TrainTrack.sides`, `TrainTrack.ends`, the old `side_ends`), its route
-graph, its ribbon boundary walk, the trace's closed-neighbourhood step, the
-support decoder or the digraph layer.  `helpers.py` is read as text and
+"""The recurrence, switch-balance, ribbon-boundary and Penner oracles in
+`tests/helpers.py` stay independent of the code they check.  They build
+their own graphs, slot lists and switch sums from the branches' slot data,
+their own supports from the intersection pattern and their own curve names
+from the support bitmasks, so none of them may read the library's
+switch-side index (`TrainTrack.sides`, `TrainTrack.ends`, the old
+`side_ends`), its switch equations or measure check, its route graph, its
+ribbon boundary walk, the trace's closed-neighbourhood step, the support
+decoder or the digraph layer.  `helpers.py` is read as text and
 parsed, never imported."""
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ HELPERS = Path(__file__).resolve().parent / "helpers.py"
 
 BANNED = frozenset({
     "sides", "ends", "side_ends", "_route_graph", "boundary_cycles", "_closed",
-    "_digraph",
+    "_digraph", "check_measure", "switch_equations",
     # the support decoder
     "_curves", "_decode", "_byte_tables", "sorted_names",
 })
@@ -26,7 +27,7 @@ ORACLES = (
     # recurrence and the ribbon boundary
     "_dart_graph", "route_dead_branches", "route_recurrent",
     "darts_strongly_connected", "some_closed_route", "counting_measure",
-    "ribbon_cycles",
+    "ribbon_cycles", "switch_balance",
     # Penner
     "PennerSystem", "twist_support", "rotate", "step", "certify",
     "oracle_trace", "step_trace", "penner_matrix", "reference_penner_report",
@@ -82,5 +83,6 @@ def test_name_walk_catches_every_form():
         "    cycles = tt.boundary_cycles(track)\n"
         "    b.sorted_names(' ')\n"
         "    p._byte_tables(masks, 0)\n"
+        "    tt.check_measure(track, w) and tt.switch_equations(track)\n"
     )
     assert _names(ast.parse(text)) & BANNED == BANNED

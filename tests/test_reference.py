@@ -35,6 +35,7 @@ from helpers import (
     dissection_count,
     dissection_sizes,
     noncrossing_subsets_brute,
+    switch_balance,
 )
 
 
@@ -83,6 +84,7 @@ def test_reference_track_is_maximal_and_recurrent(genus):
     assert ok
     assert all(w >= 1 for w in witness.values())
     assert check_measure(track, witness)
+    assert not any(switch_balance(track, witness).values())
     counts = branch_count_report(track, SurfaceSig(genus, 0))
     assert counts.total_ok and counts.real_ok
 

@@ -45,6 +45,7 @@ from helpers import (
     route_dead_branches,
     route_recurrent,
     some_closed_route,
+    switch_balance,
 )
 
 
@@ -232,6 +233,16 @@ def test_recurrent_barbell():
     assert ok
     assert all(v >= 1 for v in w.values())
     assert check_measure(barbell(), w)
+    assert switch_balance(barbell(), w) == {"L": 0, "R": 0}
+
+
+def test_switch_balance_rejects_a_raised_weight():
+    """The balance oracle is not vacuous: raising any one weight of the
+    barbell witness by 1 unbalances a switch."""
+    t = barbell()
+    _, w = is_recurrent(t)
+    for name in w:
+        assert any(switch_balance(t, {**w, name: w[name] + 1}).values()), name
 
 
 def test_dead_branch_not_recurrent():
@@ -247,6 +258,7 @@ def assert_integer_witness(track: TrainTrack, w) -> None:
     assert set(w) == {b.name for b in track.branches}
     assert all(v.denominator == 1 and v >= 1 for v in w.values())
     assert check_measure(track, w)
+    assert not any(switch_balance(track, w).values())
 
 
 def test_recurrence_matches_route_oracle():
