@@ -3,8 +3,8 @@
 Bit w of `succ[v]` is set iff there is an edge v -> w.  Both certificate
 engines run their graph questions through these functions: the support
 digraph of a transition matrix and the switch-side graph of a train track.
-Every distance question (shortest paths, girth, cover time) reads the one
-breadth-first walk, `layers`.
+Every distance question (girth, cover time) reads the one breadth-first
+walk, `layers`.
 """
 
 from __future__ import annotations
@@ -74,22 +74,3 @@ def components(succ: Sequence[int]) -> list[int]:
                         label[stack.pop()] = v
     return label
 
-
-def shortest_path(succ: Sequence[int], source: int, target: int) -> list[int] | None:
-    """Nodes of a shortest directed path from source to target, both
-    included (just [source] when they are equal), or None when target is
-    unreachable.  Each step back takes the least node of the previous
-    breadth-first layer with an edge to the node after it."""
-    walk = []
-    for layer in layers(succ, 1 << source):
-        walk.append(layer)
-        if layer >> target & 1:
-            break
-    else:
-        return None
-    path = [target]
-    for layer in reversed(walk[:-1]):
-        while not succ[(layer & -layer).bit_length() - 1] >> path[-1] & 1:
-            layer &= layer - 1  # its least node has no edge to the path
-        path.append((layer & -layer).bit_length() - 1)
-    return path[::-1]

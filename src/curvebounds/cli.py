@@ -242,12 +242,17 @@ def run_track(input_path: str, as_json: bool) -> int:
         )
 
     recurrent, evidence = traintrack.is_recurrent(track)
-    checks["recurrent"] = recurrent
     if recurrent:
         payload["witness"] = {
             name: surfaces.frac_str(w) for name, w in sorted(evidence.items())
         }
-        lines.append("recurrence: PASS (positive witness measure found)")
+        # The certificate is checked by the switch equations, not trusted.
+        recurrent = traintrack.check_measure(track, evidence)
+        lines.append(
+            "recurrence: PASS (positive witness measure found)"
+            if recurrent
+            else "recurrence: FAIL (witness does not balance)"
+        )
     else:
         # Name one dead branch and the count, not the list: a large track
         # can have hundreds.
@@ -257,6 +262,7 @@ def run_track(input_path: str, as_json: bool) -> int:
             f"recurrence: FAIL ({len(evidence)} branches on no closed route, "
             f"first: {evidence[0]})"
         )
+    checks["recurrent"] = recurrent
 
     counts = traintrack.branch_count_report(track, sig)
     checks["branch_total"] = counts.total_ok

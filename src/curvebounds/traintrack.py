@@ -10,18 +10,19 @@ cycles, cusps and complementary regions all fall out of one traversal.
 A track numbers its switch sides once, while it validates (see
 `TrainTrack`); the traversal, the diagonal insertion, the switch equations
 and recurrence all walk those nodes.  Recurrence is one pass over the
-switch-side graph: its strongly connected components decide it, and only
-a recurrent track goes on to the shortest paths that build its witness
-measure.
+switch-side graph: its strongly connected components decide it.  The
+witness measure of a recurrent track counts closed walks along two
+breadth-first trees per component, one walk through each branch.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from ._digraph import components, shortest_path
+from ._digraph import components
 from .surfaces import SurfaceSig, branch_bound, cusp_bound, real_branch_bound
 
 __all__ = [
@@ -209,10 +210,10 @@ def check_measure(track: TrainTrack, weights: Mapping[str, Fraction]) -> bool:
 # --- recurrence by closed smooth routes -------------------------------------
 
 
-def _route_graph(track: TrainTrack) -> tuple[list[int], tuple[str, ...]]:
-    """The switch-side graph and the names of the branches on no closed
-    smooth route, in track order.  Node 2s + side leaves switch s through
-    that side; a branch with end nodes A and B (`track.ends`) is the edge
+def _route_graph(track: TrainTrack) -> tuple[str, ...]:
+    """The names of the branches on no closed smooth route, in track order.
+    Node 2s + side of the switch-side graph leaves switch s through that
+    side; a branch with end nodes A and B (`track.ends`) is the edge
     A -> B ^ 1 one way and B -> A ^ 1 the other, because a smooth route
     arriving on one side of a switch leaves by the other.  A branch is on
     no closed route iff its edge A -> B ^ 1 joins two components."""
@@ -221,12 +222,11 @@ def _route_graph(track: TrainTrack) -> tuple[list[int], tuple[str, ...]]:
         succ[a] |= 1 << (z ^ 1)
         succ[z] |= 1 << (a ^ 1)
     label = components(succ)
-    dead = tuple(
+    return tuple(
         b.name
         for b, (a, z) in zip(track.branches, track.ends)
         if label[a] != label[z ^ 1]
     )
-    return succ, dead
 
 
 def is_recurrent(
@@ -235,24 +235,40 @@ def is_recurrent(
     """Decide whether the track carries a strictly positive measure: whether
     every branch lies on a closed smooth route (Penner-Harer).  Returns
     (False, names of the branches on no closed route) or (True, witness).
-    For each branch not yet covered, in track order, a shortest path
-    B ^ 1 -> A of the switch-side graph closes its edge A -> B ^ 1 into a
-    closed route; the witness counts how often these routes traverse each
-    branch, so its weights are integers >= 1."""
-    succ, dead = _route_graph(track)
+
+    In a recurrent track no edge joins two components, so a breadth-first
+    tree from the least node r of each component reaches all of it.  Each
+    branch's edge A -> B ^ 1 closes into the walk r -> A -> B ^ 1 -> r
+    along tree paths; the witness counts how often these walks cross each
+    branch.  Reversing the graph relabels node v as v ^ 1, so the path
+    B ^ 1 -> r crosses the branches of the tree path r ^ 1 -> B.  Each tree
+    edge adds the number of walks that start (out-trees from r, at A) or
+    end (in-trees from r ^ 1, at B) below it.  A tree path crosses a branch
+    at most twice, so every weight is an integer in [1, 4 * branches + 1]."""
+    dead = _route_graph(track)
     if dead:
         return False, dead
-    via: dict[tuple[int, int], int] = {}  # one branch per edge
-    for i, (a, z) in enumerate(track.ends):
-        via[a, z ^ 1] = via[z, a ^ 1] = i
-    count = [0] * len(track.ends)
-    for i, (a, z) in enumerate(track.ends):
-        if count[i]:
-            continue
-        path = shortest_path(succ, z ^ 1, a)
-        count[i] += 1
-        for edge in zip(path, path[1:]):
-            count[via[edge]] += 1
+    count = [1] * len(track.ends)
+    roots: Iterable[int] = range(len(track.sides))
+    for side in (0, 1):  # out-trees, then in-trees
+        parent: dict[int, tuple[int, int] | None] = {}  # in breadth-first order
+        for root in roots:
+            if root in parent:
+                continue
+            parent[root] = None
+            tree = [root]
+            for v in tree:
+                for i, e in track.sides[v]:
+                    w = track.ends[i][1 - e] ^ 1
+                    if w not in parent:
+                        parent[w] = v, i
+                        tree.append(w)
+        load = Counter(pair[side] for pair in track.ends)
+        for w, up in reversed(parent.items()):
+            if up:
+                count[up[1]] += load[w]
+                load[up[0]] += load[w]
+        roots = [r ^ 1 for r, up in parent.items() if up is None]
     return True, {b.name: Fraction(c) for b, c in zip(track.branches, count)}
 
 
@@ -539,7 +555,7 @@ def enumerate_diagonal_extensions(
     for combo in itertools.product(*per_region):
         sel = [(ci, chord) for ci, sub in enumerate(combo) for chord in sub]
         ext = add_diagonals(track, cycles, sel)
-        if not _route_graph(ext)[1]:
+        if not _route_graph(ext):
             out.append(ext)
     return tuple(out)
 

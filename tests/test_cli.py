@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import curvebounds
+from curvebounds import traintrack
 from curvebounds.cli import main, run_bounds, run_penner
 from curvebounds.fileio import data_path, format_track
 from curvebounds.penner import TraceResult, trace
@@ -444,6 +446,26 @@ def test_track_non_recurrent(tmp_path, capsys):
     assert main(["track", "--input", str(p)]) == 1
     out = capsys.readouterr().out
     assert "recurrence: FAIL (1 branches on no closed route, first: loop)\n" in out
+
+
+def test_track_refuses_a_witness_that_does_not_balance(capsys, monkeypatch):
+    """`track` checks the witness against the switch equations before it
+    prints PASS: an unbalanced one (every weight 1 on a trivalent track)
+    fails the recurrence check with exit 1 and no traceback."""
+    def unbalanced(track):
+        return True, {b.name: Fraction(1) for b in track.branches}
+
+    monkeypatch.setattr(traintrack, "is_recurrent", unbalanced)
+    path = str(data_path("genus2_maximal.track"))
+    code, payload = run_json(capsys, ["track", "--input", path])
+    assert code == 1
+    assert payload["checks"]["recurrent"] is False
+    assert all(v for k, v in payload["checks"].items() if k != "recurrent")
+    assert {Fraction(v) for v in payload["witness"].values()} == {1}
+    assert main(["track", "--input", path]) == 1
+    out, err = capsys.readouterr()
+    assert "recurrence: FAIL (witness does not balance)\n" in out
+    assert "PASS (positive witness" not in out and err == ""
 
 
 def test_track_non_recurrent_spine_names_cause_in_bounded_size(tmp_path, capsys):

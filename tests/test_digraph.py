@@ -1,6 +1,10 @@
 from __future__ import annotations
 
-from curvebounds._digraph import components, image, layers, reverse, shortest_path
+import ast
+from pathlib import Path
+
+from curvebounds import _digraph
+from curvebounds._digraph import components, image, layers, reverse
 
 from helpers import brute_distances, random_digraph, rng_for
 
@@ -30,20 +34,6 @@ def test_components_are_mutual_reachability():
                 assert (label[u] == label[v]) == (v in reach[u] and u in reach[v])
 
 
-def test_shortest_path_has_bfs_length():
-    for succ, rows, _ in random_cases():
-        for source in range(len(succ)):
-            dist = brute_distances(succ, source)
-            for target in range(len(succ)):
-                path = shortest_path(rows, source, target)
-                if target not in dist:
-                    assert path is None
-                    continue
-                assert path[0] == source and path[-1] == target
-                assert len(path) - 1 == dist[target]
-                assert all(w in succ[v] for v, w in zip(path, path[1:]))
-
-
 def test_reverse_flips_every_edge():
     for succ, rows, _ in random_cases():
         pred = reverse(rows)
@@ -62,3 +52,31 @@ def test_layers_are_distance_classes():
         assert len(walk) == (max(dist.values()) + 1 if dist else 0)
         for d, layer in enumerate(walk):
             assert layer == sum(1 << w for w, dw in dist.items() if dw == d)
+
+
+def test_every_digraph_function_has_a_library_caller():
+    """`_digraph` holds only primitives that another library module calls:
+    each function it defines is imported from it, or read as an attribute
+    of it, somewhere else under `src/curvebounds/`."""
+    source = Path(_digraph.__file__)
+    defined = {
+        node.name
+        for node in ast.parse(source.read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    used: set[str] = set()
+    for path in source.parent.rglob("*.py"):
+        if path == source:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                if (node.module or "").endswith("_digraph"):
+                    used.update(alias.name for alias in node.names)
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "_digraph"
+            ):
+                used.add(node.attr)
+    assert defined, source
+    assert defined <= used, f"no library caller: {sorted(defined - used)}"

@@ -6,7 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from curvebounds.reference import CUSP_CORNERS, build_spine, reference_track
+from curvebounds.reference import (
+    CUSP_CORNERS,
+    build_spine,
+    fan_selection,
+    reference_track,
+)
 from curvebounds.surfaces import SurfaceSig
 from curvebounds.traintrack import (
     Branch,
@@ -255,8 +260,12 @@ def test_dead_branch_not_recurrent():
 
 
 def assert_integer_witness(track: TrainTrack, w) -> None:
+    """The witness names every branch with an integer weight in
+    [1, 4 * branches + 1] (a closed walk per branch, each made of two
+    simple tree paths and the branch) and balances at every switch."""
     assert set(w) == {b.name for b in track.branches}
-    assert all(v.denominator == 1 and v >= 1 for v in w.values())
+    top = 4 * track.num_branches + 1
+    assert all(v.denominator == 1 and 1 <= v <= top for v in w.values())
     assert check_measure(track, w)
     assert not any(switch_balance(track, w).values())
 
@@ -277,19 +286,26 @@ def test_recurrence_matches_route_oracle():
 
 
 def fan_spine(genus: int, pattern: str) -> TrainTrack:
+    """The spine with alternating or all-zero corners, or ("maximal") the
+    spine with corners 0..0, 1, 0 and the fan of diagonals from cusp 0."""
     count = 4 * genus - 2
+    if pattern == "maximal":
+        spine = build_spine(genus, (0,) * (count - 2) + (1, 0))
+        cycles = boundary_cycles(spine)
+        return add_diagonals(spine, cycles, fan_selection(cycles[0].cusp_count, 0))
     corners = tuple(t % 2 for t in range(count)) if pattern == "alt" else (0,) * count
     return build_spine(genus, corners)
 
 
 @pytest.mark.parametrize(
     "genus,pattern",
-    [(10, "alt"), (15, "alt"), (20, "alt"), (56, "zero"), (64, "zero")],
+    [(10, "alt"), (15, "alt"), (20, "alt"), (56, "zero"), (64, "zero")]
+    + [(genus, "maximal") for genus in (*range(2, 31), 100)],
 )
 def test_fan_spine_recurrence_matches_route_oracle(genus, pattern):
     t = fan_spine(genus, pattern)
     ok, evidence = is_recurrent(t)
-    assert ok == route_recurrent(t) == (pattern == "alt")
+    assert ok == route_recurrent(t) == (pattern != "zero")
     if ok:
         assert_integer_witness(t, evidence)
     else:
@@ -326,7 +342,7 @@ def test_two_disjoint_live_components():
     assert_integer_witness(two, w)
     _, w_one = is_recurrent(one)
     assert w == {**w_one, **{name + "2": v for name, v in w_one.items()}}
-    assert w_one == {"loopL": 1, "bar": 2, "loopR": 1}
+    assert w_one == {"loopL": 3, "bar": 6, "loopR": 3}
 
 
 def test_counting_measure_of_closed_route_balances():
