@@ -10,17 +10,16 @@ from curvebounds import (
     add_diagonals,
     boundary_cycles,
     branch_count_report,
-    build_spine,
     classify_regions,
     enumerate_diagonal_extensions,
     is_recurrent,
     max_fold_time,
     reference_attachment,
+    reference_spine,
     reference_track,
     spine_attachment,
     total_cusps,
 )
-from curvebounds.reference import CUSP_CORNERS
 
 print("maximal reference track, genus 2")
 track = reference_track(2)
@@ -39,7 +38,7 @@ print()
 # diagonal leaves a pentagon; the extension enumerator then reproduces all
 # non-crossing diagonal families that stay recurrent.
 print("spine of the one-vertex triangulation, genus 2")
-spine = build_spine(2, CUSP_CORNERS[2])
+spine = reference_spine(2)
 cycles = boundary_cycles(spine)
 print(f"  boundary cycles: {len(cycles)}, cusps: {cycles[0].cusp_count}")
 hex_exts = enumerate_diagonal_extensions(spine, spine_attachment(2))

@@ -56,8 +56,8 @@ _EXPORTS = {
             "positive_on_base", "switch_equations", "total_cusps",
         )),
         (reference, (
-            "build_spine", "reference_attachment", "reference_track",
-            "spine_attachment",
+            "build_spine", "reference_attachment", "reference_spine",
+            "reference_track", "spine_attachment",
         )),
         (fileio, (
             "MatrixFileError", "TrackFileError", "data_path", "format_matrix",

@@ -1,16 +1,19 @@
-"""Stock maximal recurrent tracks on closed surfaces of genus 2 and 3.
+"""Maximal recurrent reference tracks on the closed surface of genus g >= 2.
 
 The construction starts from the one-vertex triangulation of the closed
 genus-g surface: a 4g-gon with boundary word a b a' b' ... and the fan of
 diagonals from vertex 0.  The dual spine has one trivalent switch per
-triangle and one branch per triangulation edge; its complement is a single
-disk whose boundary carries 4g - 2 cusps.  Filling that polygon with a fan
-of diagonal branches cuts it into triangles, which makes the track maximal.
+triangle and one branch per triangulation edge; whatever the smoothing, its
+complement is the star of the one vertex, a disk whose boundary carries
+4g - 2 cusps.  Filling that polygon with a fan of diagonal branches cuts it
+into triangles, which makes the track maximal.
 
 Each trivalent switch needs a smoothing: one of its three corners becomes
-the cusp.  Most smoothing patterns produce a non-recurrent extension, so a
-working corner assignment (plus the fan apex) was found by offline search
-and is frozen below.  reference_track() rebuilds deterministically.
+the cusp, and most patterns leave branches on no closed route.  The rule
+here puts it at corner 1 of triangle 4g - 4 and at corner 0 of every other
+triangle, then fans from cusp 0.  No proof yet says the rule's spines are
+strongly connected (which makes every extension recurrent), so
+reference_track() checks is_recurrent and names the first dead branch.
 """
 
 from __future__ import annotations
@@ -21,27 +24,19 @@ from .traintrack import (
     BranchEnd,
     RegionAttachment,
     TrainTrack,
-    _chords,
     add_diagonals,
     boundary_cycles,
+    is_recurrent,
 )
 
 __all__ = [
-    "CUSP_CORNERS",
-    "FAN_APEX",
     "build_spine",
     "fan_selection",
     "spine_attachment",
+    "reference_spine",
     "reference_track",
     "reference_attachment",
 ]
-
-# frozen by search: see tests for the properties these guarantee
-CUSP_CORNERS: dict[int, tuple[int, ...]] = {
-    2: (0, 0, 0, 0, 1, 0),
-    3: (0, 0, 0, 0, 0, 0, 0, 0, 1, 0),
-}
-FAN_APEX: dict[int, int] = {2: 0, 3: 0}
 
 
 def _triangle_edges(genus: int) -> list[tuple[tuple[str, str], ...]]:
@@ -97,31 +92,35 @@ def build_spine(genus: int, corners: tuple[int, ...]) -> TrainTrack:
     return TrainTrack(switches, tuple(branches))
 
 
-def fan_selection(cusp_count: int, apex: int) -> list[tuple[int, tuple[int, int]]]:
-    """Chords of the polygon region joining the apex cusp to every
-    non-adjacent cusp, as (cycle 0, sorted position pair) entries."""
-    return [(0, c) for c in _chords(cusp_count) if apex in c]
+def fan_selection(cusp_count: int) -> list[tuple[int, tuple[int, int]]]:
+    """Chords of the polygon region joining cusp 0 to every non-adjacent
+    cusp, as (cycle 0, sorted position pair) entries."""
+    return [(0, (0, j)) for j in range(2, cusp_count - 1)]
 
 
 def spine_attachment(genus: int) -> RegionAttachment:
+    if genus < 2:
+        raise ValueError("genus must be at least 2")
     return RegionAttachment(surface=SurfaceSig(genus), regions=((0, 0),))
 
 
 def reference_attachment(genus: int) -> RegionAttachment:
-    return RegionAttachment(
-        surface=SurfaceSig(genus), regions=((0, 0),) * (4 * genus - 4)
-    )
+    if genus < 2:
+        raise ValueError("genus must be at least 2")
+    return RegionAttachment(SurfaceSig(genus), ((0, 0),) * (4 * genus - 4))
+
+
+def reference_spine(genus: int) -> TrainTrack:
+    """The spine with the cusp at corner 1 of triangle 4g - 4, else corner 0."""
+    return build_spine(genus, (0,) * (4 * genus - 4) + (1, 0))
 
 
 def reference_track(genus: int) -> TrainTrack:
-    """The frozen maximal recurrent track for genus 2 or 3."""
-    if genus not in CUSP_CORNERS:
-        raise ValueError(
-            f"no stock track for genus {genus}; available: {sorted(CUSP_CORNERS)}"
-        )
-    spine = build_spine(genus, CUSP_CORNERS[genus])
-    cycles = boundary_cycles(spine)
-    if len(cycles) != 1:
-        raise RuntimeError("spine boundary is not a single cycle")
-    sel = fan_selection(cycles[0].cusp_count, FAN_APEX[genus])
-    return add_diagonals(spine, cycles, sel)
+    """The fan from cusp 0 over reference_spine(genus), checked recurrent."""
+    spine = reference_spine(genus)
+    cycles = boundary_cycles(spine)  # one cycle: the star of the single vertex
+    track = add_diagonals(spine, cycles, fan_selection(cycles[0].cusp_count))
+    ok, dead = is_recurrent(track)
+    if not ok:
+        raise RuntimeError(f"genus {genus}: branch {dead[0]} lies on no closed route")
+    return track

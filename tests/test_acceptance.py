@@ -20,9 +20,8 @@ from curvebounds.pfmatrix import (
     wielandt_bound,
 )
 from curvebounds.reference import (
-    CUSP_CORNERS,
-    build_spine,
     reference_attachment,
+    reference_spine,
     reference_track,
     spine_attachment,
 )
@@ -175,7 +174,7 @@ def test_criterion_07_block_products(capsys):
 
 def test_criterion_08_reference_tracks_and_extensions(capsys):
     with criterion(capsys, 8):
-        # frozen maximal reference tracks
+        # maximal reference tracks
         for genus in (2, 3):
             track = reference_track(genus)
             attachment = reference_attachment(genus)
@@ -199,7 +198,7 @@ def test_criterion_08_reference_tracks_and_extensions(capsys):
 
         # diagonal extension enumeration matches the brute-force
         # non-crossing subset oracle
-        spine = build_spine(2, CUSP_CORNERS[2])
+        spine = reference_spine(2)
         cases = [
             (spine, spine_attachment(2), 45),
             (

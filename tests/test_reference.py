@@ -5,13 +5,13 @@ import math
 
 import pytest
 
-from curvebounds.fileio import format_track
+from curvebounds import reference
+from curvebounds.fileio import data_path, format_track
 from curvebounds.reference import (
-    CUSP_CORNERS,
-    FAN_APEX,
     build_spine,
     fan_selection,
     reference_attachment,
+    reference_spine,
     reference_track,
     spine_attachment,
 )
@@ -35,19 +35,20 @@ from helpers import (
     dissection_count,
     dissection_sizes,
     noncrossing_subsets_brute,
+    ribbon_cycles,
+    route_dead_branches,
     switch_balance,
 )
 
 
-def test_frozen_constants_cover_both_genera():
-    assert set(CUSP_CORNERS) == set(FAN_APEX) == {2, 3}
-    assert len(CUSP_CORNERS[2]) == 6 and len(CUSP_CORNERS[3]) == 10
-    assert all(c in (0, 1, 2) for g in CUSP_CORNERS for c in CUSP_CORNERS[g])
+def test_rule_gives_the_genus_2_and_3_corners():
+    assert reference_spine(2) == build_spine(2, (0, 0, 0, 0, 1, 0))
+    assert reference_spine(3) == build_spine(3, (0,) * 8 + (1, 0))
 
 
 @pytest.mark.parametrize("genus", [2, 3])
 def test_spine_shape(genus):
-    spine = build_spine(genus, CUSP_CORNERS[genus])
+    spine = reference_spine(genus)
     assert spine.num_switches == 4 * genus - 2
     assert spine.num_branches == 6 * genus - 3
     cycles = boundary_cycles(spine)
@@ -58,16 +59,16 @@ def test_spine_shape(genus):
 
 @pytest.mark.parametrize("genus", [2, 3])
 def test_spine_region_is_one_polygon(genus):
-    spine = build_spine(genus, CUSP_CORNERS[genus])
+    spine = reference_spine(genus)
     rep = classify_regions(spine, spine_attachment(genus))
     assert [r.label for r in rep.regions] == [f"polygon({4 * genus - 2})"]
     assert rep.is_large and not rep.is_maximal
 
 
 def test_fan_selection():
-    assert fan_selection(6, 0) == [(0, (0, 2)), (0, (0, 3)), (0, (0, 4))]
-    assert fan_selection(6, 1) == [(0, (1, 3)), (0, (1, 4)), (0, (1, 5))]
-    assert fan_selection(4, 0) == [(0, (0, 2))]
+    assert fan_selection(6) == [(0, (0, 2)), (0, (0, 3)), (0, (0, 4))]
+    assert fan_selection(4) == [(0, (0, 2))]
+    assert fan_selection(3) == []
 
 
 @pytest.mark.parametrize("genus", [2, 3])
@@ -89,15 +90,62 @@ def test_reference_track_is_maximal_and_recurrent(genus):
     assert counts.total_ok and counts.real_ok
 
 
+@pytest.mark.parametrize("genus", [*range(2, 31), 60, 100])
+def test_rule_track_is_maximal_and_recurrent_by_oracles(genus):
+    """The rule's spine is strongly connected with one (4g - 2)-cusp boundary
+    cycle, and its fan track has 4g - 4 triangles and every branch on a
+    closed route, all by the oracles in `helpers`."""
+    spine = reference_spine(genus)
+    assert darts_strongly_connected(spine)
+    assert [c.cusp_count for c in ribbon_cycles(spine)] == [4 * genus - 2]
+    track = reference_track(genus)
+    assert [c.cusp_count for c in ribbon_cycles(track)] == [3] * (4 * genus - 4)
+    assert route_dead_branches(track) == []
+    ok, witness = is_recurrent(track)
+    assert ok and all(w >= 1 for w in witness.values())
+    assert not any(switch_balance(track, witness).values())
+    counts = branch_count_report(track, SurfaceSig(genus, 0))
+    assert counts.total <= 9 * (2 * genus - 2)
+
+
+# SHA-256 of `fileio.format_track` over the genus 2 and 3 reference tracks:
+# the bytes of the shipped `genus{2,3}_maximal.track` files.
+REFERENCE_DIGESTS = {
+    2: "e9994ce45fea826b3c35a176f318108b6c5813be66674d9a9decd7956620ae64",
+    3: "ed9adc253bbe60ee1dc7ec79c0e80e564b99c11371e1a47d2846b9b978bfce60",
+}
+
+
+@pytest.mark.parametrize("genus", sorted(REFERENCE_DIGESTS))
+def test_reference_track_is_pinned_byte_for_byte(genus):
+    text = format_track(reference_track(genus), reference_attachment(genus))
+    assert hashlib.sha256(text.encode()).hexdigest() == REFERENCE_DIGESTS[genus]
+    shipped = data_path(f"genus{genus}_maximal.track").read_bytes()
+    assert hashlib.sha256(shipped).hexdigest() == REFERENCE_DIGESTS[genus]
+
+
 def test_reference_track_unsupported_genus():
-    with pytest.raises(ValueError):
-        reference_track(4)
+    for genus in (1, 0, -1):
+        for build in (reference_spine, reference_track, spine_attachment,
+                      reference_attachment):
+            with pytest.raises(ValueError, match="genus must be at least 2"):
+                build(genus)
+
+
+def test_reference_track_refuses_a_dead_branch(monkeypatch):
+    """The all-zero corner pattern leaves branches off every route."""
+    spine = build_spine(2, (0,) * 6)
+    fan = add_diagonals(spine, boundary_cycles(spine), fan_selection(6))
+    assert route_dead_branches(fan)[0] == "q2"
+    monkeypatch.setattr(reference, "reference_spine", lambda g: spine)
+    with pytest.raises(RuntimeError, match="branch q2 lies on no closed route"):
+        reference_track(2)
 
 
 def test_square_fixture_extensions():
     """One square region among triangles: the base plus one extension per
     square diagonal, and nothing else."""
-    spine = build_spine(2, CUSP_CORNERS[2])
+    spine = reference_spine(2)
     cycles = boundary_cycles(spine)
     base = add_diagonals(spine, cycles, [(0, (0, 2)), (0, (0, 4))])
     att = RegionAttachment(SurfaceSig(2, 0), ((0, 0),) * 3)
@@ -125,7 +173,7 @@ def test_square_fixture_extensions():
 
 def test_pentagon_fixture_extensions():
     """A pentagon region admits every non-crossing diagonal family."""
-    spine = build_spine(2, CUSP_CORNERS[2])
+    spine = reference_spine(2)
     base = add_diagonals(spine, boundary_cycles(spine), [(0, (0, 2))])
     att = RegionAttachment(SurfaceSig(2, 0), ((0, 0),) * 2)
     rep = classify_regions(base, att)
@@ -136,7 +184,7 @@ def test_pentagon_fixture_extensions():
 
 
 def test_hexagon_extensions_match_subset_count():
-    spine = build_spine(2, CUSP_CORNERS[2])
+    spine = reference_spine(2)
     exts = enumerate_diagonal_extensions(spine, spine_attachment(2))
     assert len(exts) == len(noncrossing_subsets_brute(6)) == 45
     assert all(is_recurrent(e)[0] for e in exts)
@@ -146,7 +194,7 @@ def test_genus3_cut_spine_extension_count():
     """The 10-cusp genus-3 region cut by chords (0,5) and (0,2) into a
     hexagon, a pentagon and a triangle: every family of non-crossing
     diagonals in the two gives a recurrent extension, 45 * 11 in all."""
-    spine = build_spine(3, CUSP_CORNERS[3])
+    spine = reference_spine(3)
     base = add_diagonals(spine, boundary_cycles(spine), [(0, (0, 5)), (0, (0, 2))])
     att = RegionAttachment(SurfaceSig(3, 0), ((0, 0),) * 3)
     rep = classify_regions(base, att)
@@ -166,7 +214,7 @@ EXTENSION_DIGESTS = {
 
 @pytest.mark.parametrize("genus, chords", list(EXTENSION_DIGESTS))
 def test_extensions_are_pinned_byte_for_byte(genus, chords):
-    spine = build_spine(genus, CUSP_CORNERS[genus])
+    spine = reference_spine(genus)
     base = add_diagonals(spine, boundary_cycles(spine), [(0, c) for c in chords])
     att = RegionAttachment(SurfaceSig(genus, 0), ((0, 0),) * (len(chords) + 1))
     exts = enumerate_diagonal_extensions(base, att)
@@ -196,7 +244,7 @@ def test_extension_count_is_product_of_dissection_counts(genus, chords, count):
     """On a base whose dart graph is strongly connected every diagonal
     family is recurrent, so the extensions number the product of D(k) over
     the polygon regions."""
-    spine = build_spine(genus, CUSP_CORNERS[genus])
+    spine = reference_spine(genus)
     base = add_diagonals(spine, boundary_cycles(spine), [(0, c) for c in chords])
     sizes = dissection_sizes(4 * genus - 2, chords)
     att = RegionAttachment(SurfaceSig(genus, 0), ((0, 0),) * len(sizes))
@@ -209,12 +257,13 @@ def test_extension_count_is_product_of_dissection_counts(genus, chords, count):
 
 
 def test_reference_track_has_no_proper_extensions():
-    track = reference_track(2)
-    exts = enumerate_diagonal_extensions(track, reference_attachment(2))
-    assert exts == (track,)
+    for genus in range(2, 7):
+        track = reference_track(genus)
+        exts = enumerate_diagonal_extensions(track, reference_attachment(genus))
+        assert exts == (track,)
 
 
 def test_large_region_hits_cutoff():
-    spine = build_spine(3, CUSP_CORNERS[3])
+    spine = reference_spine(3)
     with pytest.raises(RegionCutoffError):
         enumerate_diagonal_extensions(spine, spine_attachment(3))

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from curvebounds.reference import (
-    CUSP_CORNERS,
     build_spine,
     fan_selection,
+    reference_spine,
     reference_track,
 )
 from curvebounds.surfaces import SurfaceSig
@@ -292,7 +292,7 @@ def fan_spine(genus: int, pattern: str) -> TrainTrack:
     if pattern == "maximal":
         spine = build_spine(genus, (0,) * (count - 2) + (1, 0))
         cycles = boundary_cycles(spine)
-        return add_diagonals(spine, cycles, fan_selection(cycles[0].cusp_count, 0))
+        return add_diagonals(spine, cycles, fan_selection(cycles[0].cusp_count))
     corners = tuple(t % 2 for t in range(count)) if pattern == "alt" else (0,) * count
     return build_spine(genus, corners)
 
@@ -533,14 +533,14 @@ def test_add_diagonals_noop():
          "no-cycle", "repeat", "cross"],
 )
 def test_add_diagonals_rejects_non_diagonals(selection, cause):
-    spine = build_spine(2, CUSP_CORNERS[2])
+    spine = reference_spine(2)
     pattern = "selection entry .*" + re.escape(cause)
     with pytest.raises(TrackStructureError, match=pattern):
         add_diagonals(spine, boundary_cycles(spine), selection)
 
 
 def test_add_diagonals_accepts_unsorted_pairs():
-    spine = build_spine(2, CUSP_CORNERS[2])
+    spine = reference_spine(2)
     cycles = boundary_cycles(spine)
     for selection in (
         [(0, (5, 2))],
@@ -555,7 +555,7 @@ def test_add_diagonals_accepts_unsorted_pairs():
 def test_extension_regions_match_polygon_dissection(genus, sample):
     """Cutting the spine's one polygon region with a non-crossing chord family
     leaves the regions that cutting a polygon with those chords leaves."""
-    spine = build_spine(genus, CUSP_CORNERS[genus])
+    spine = reference_spine(genus)
     cycles = boundary_cycles(spine)
     k = cycles[0].cusp_count
     families = _noncrossing_subsets(_chords(k))
