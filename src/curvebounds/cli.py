@@ -220,7 +220,6 @@ def run_track(input_path: str, as_json: bool) -> int:
         return 1
     checks["structure"] = True
     lines.append("structure (valences, sides, slots): PASS")
-    payload["echo"] = fileio.track_to_json(track, attachment)
 
     sig = attachment.surface
     try:

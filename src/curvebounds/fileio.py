@@ -312,7 +312,8 @@ def format_track(
 def track_to_json(
     track: traintrack.TrainTrack, attachment: traintrack.RegionAttachment
 ) -> dict:
-    """Canonical JSON form of a parsed track (the validator's echo)."""
+    """Canonical JSON form of a parsed track: its surface, switches,
+    branches and attach data.  The `track` report does not carry it."""
     return {
         "surface": {
             "genus": attachment.surface.genus,

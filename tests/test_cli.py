@@ -515,15 +515,41 @@ def test_track_unusable_input(tmp_path, capsys):
     assert capsys.readouterr().err.count("error:") == 2
 
 
-def test_track_echo_round_trip(capsys):
-    path = data_path("genus2_maximal.track")
-    code, payload = run_json(capsys, ["track", "--input", str(path)])
-    assert code == 0
-    echo = payload["echo"]
-    assert echo["surface"] == {"genus": 2, "punctures": 0}
-    assert len(echo["branches"]) == 12
-    names = {b["name"] for b in echo["branches"]}
-    assert {"d0", "d1", "d2"} <= names
+# Keys of a report past the structure check, without and with regions.
+_CHECKED = {"checks", "witness", "branch_counts", "cusps"}
+_CLASSIFIED = _CHECKED | {"regions", "large", "maximal"}
+
+
+@pytest.mark.parametrize(
+    "content, code, keys",
+    [
+        (data_path("genus2_maximal.track").read_text(), 0, _CLASSIFIED),
+        (format_track(build_spine(10, (0,) * 38), spine_attachment(10)), 1,
+         _CLASSIFIED | {"no_route"}),
+        (BARBELL, 1, _CHECKED | {"euler_error"}),
+        (TWO_VALENT_TRACK, 1, {"checks", "structure_error"}),
+    ],
+    ids=["recurrent", "no-route", "euler", "structure"],
+)
+def test_track_json_report_keys(tmp_path, capsys, content, code, keys):
+    """`track --json` carries verdicts and certificates only, not a copy
+    of the parsed input."""
+    p = tmp_path / "t.track"
+    p.write_text(content)
+    got, payload = run_json(capsys, ["track", "--input", str(p)])
+    assert got == code
+    assert set(payload) == keys
+
+
+@pytest.mark.parametrize("genus", [2, 10, 30, 64, 100])
+def test_track_failing_report_stays_small_at_any_genus(tmp_path, capsys, genus):
+    """The all-zero-corner spine fails recurrence at every genus, and its
+    report names a count and one branch: under 400 bytes, whatever g."""
+    p = tmp_path / "spine.track"
+    p.write_text(format_track(build_spine(genus, (0,) * (4 * genus - 2)),
+                              spine_attachment(genus)))
+    assert main(["track", "--input", str(p), "--json"]) == 1
+    assert len(capsys.readouterr().out.encode()) < 400
 
 
 @pytest.mark.parametrize("as_json", [False, True])

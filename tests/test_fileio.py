@@ -446,3 +446,8 @@ def test_track_to_json_serializable():
     assert len(back["branches"]) == track.num_branches
     assert back["branches"][0]["ends"][0][0] in track.switches
     assert all(r == [0, 0] for r in back["attach"])
+    shipped = json.loads(json.dumps(track_to_json(
+        *load_track(data_path("genus2_maximal.track")).build())))
+    assert shipped["surface"] == {"genus": 2, "punctures": 0}
+    assert len(shipped["branches"]) == 12
+    assert {"d0", "d1", "d2"} <= {b["name"] for b in shipped["branches"]}
