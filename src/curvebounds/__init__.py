@@ -35,8 +35,7 @@ _EXPORTS = {
         (surfaces, (
             "BoundReport", "SporadicSurfaceError", "SurfaceSig", "flm_upper_bound",
             "frac_str", "lower_bound_from_spread_time", "punctured_genus2_upper_bound",
-            "scaled_bound", "translation_length_lower_bound",
-            "translation_length_upper_bound",
+            "translation_length_lower_bound", "translation_length_upper_bound",
         )),
         (pfmatrix, (
             "BlockStructureError", "BlockTransition", "IntMatrix",
@@ -53,15 +52,15 @@ _EXPORTS = {
             "TrackStructureError", "TrainTrack", "add_diagonals", "boundary_cycles",
             "branch_count_report", "check_measure", "classify_regions",
             "enumerate_diagonal_extensions", "is_recurrent", "max_fold_time",
-            "positive_on_base", "switch_equations", "total_cusps",
+            "total_cusps",
         )),
         (reference, (
             "build_spine", "reference_attachment", "reference_spine",
             "reference_track", "spine_attachment",
         )),
         (fileio, (
-            "MatrixFileError", "TrackFileError", "data_path", "format_matrix",
-            "format_track", "load_matrix", "load_track",
+            "MatrixFileError", "TrackFileError", "format_track", "load_matrix",
+            "load_track",
         )),
     )
     for name in names

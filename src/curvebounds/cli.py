@@ -245,7 +245,7 @@ def run_track(input_path: str, as_json: bool) -> int:
         payload["witness"] = {
             name: surfaces.frac_str(w) for name, w in sorted(evidence.items())
         }
-        # The certificate is checked by the switch equations, not trusted.
+        # The certificate is checked at every switch, not trusted.
         recurrent = traintrack.check_measure(track, evidence)
         lines.append(
             "recurrence: PASS (positive witness measure found)"

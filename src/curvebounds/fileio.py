@@ -34,13 +34,11 @@ __all__ = [
     "MatrixDocument",
     "parse_matrix_text",
     "load_matrix",
-    "format_matrix",
     "TrackDocument",
     "parse_track_text",
     "load_track",
     "format_track",
     "track_to_json",
-    "data_path",
 ]
 
 
@@ -171,21 +169,6 @@ def parse_matrix_text(text: str) -> MatrixDocument:
 
 def load_matrix(path) -> MatrixDocument:
     return parse_matrix_text(_read_utf8(path, MatrixFileError))
-
-
-def format_matrix(
-    matrix: pfmatrix.IntMatrix,
-    real_set=None,
-    surface: surfaces.SurfaceSig | None = None,
-) -> str:
-    out = [f"{matrix.rows} {matrix.cols}"]
-    for row in matrix.entries:
-        out.append(" ".join(str(e) for e in row))
-    if real_set is not None:
-        out.append("real: " + " ".join(str(i) for i in sorted(real_set)))
-    if surface is not None:
-        out.append(f"surface: {surface.genus} {surface.punctures}")
-    return "\n".join(out) + "\n"
 
 
 # --- tracks -----------------------------------------------------------------
@@ -331,7 +314,3 @@ def track_to_json(
         "attach": [list(r) for r in attachment.regions],
     }
 
-
-def data_path(name: str) -> Path:
-    """Path of a data file shipped with the package."""
-    return Path(__file__).parent / "data" / name

@@ -24,7 +24,6 @@ __all__ = [
     "flm_upper_bound",
     "punctured_genus2_upper_bound",
     "lower_bound_from_spread_time",
-    "scaled_bound",
     "frac_str",
 ]
 
@@ -137,17 +136,6 @@ def lower_bound_from_spread_time(sig: SurfaceSig, k: int) -> Fraction:
     if k < 1:
         raise ValueError(f"spread time must be >= 1, got {k}")
     return Fraction(1, cusp_bound(sig) + k)
-
-
-def scaled_bound(bound: Fraction, power: int) -> Fraction:
-    """Convert a translation-length bound for the m-th power of a map into
-    one for the map itself (stable length is homogeneous: l(f^m) = m*l(f))."""
-    if power < 1:
-        raise ValueError(f"power must be >= 1, got {power}")
-    bound = Fraction(bound)
-    if bound < 0:
-        raise ValueError(f"bound must be nonnegative, got {bound}")
-    return bound / power
 
 
 class BoundReport(NamedTuple):

@@ -8,8 +8,8 @@ straight (top-top, bottom-bottom) and ends attached on the same side glue
 with a half twist.  This is exactly the orientable thickening, so boundary
 cycles, cusps and complementary regions all fall out of one traversal.
 A track numbers its switch sides once, while it validates (see
-`TrainTrack`); the traversal, the diagonal insertion, the switch equations
-and recurrence all walk those nodes.  Recurrence is one pass over the
+`TrainTrack`); the traversal, the diagonal insertion, the switch balance
+check and recurrence all walk those nodes.  Recurrence is one pass over the
 switch-side graph: its strongly connected components decide it.  The
 witness measure of a recurrent track counts closed walks along two
 breadth-first trees per component, one walk through each branch.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ._digraph import components
@@ -42,14 +42,12 @@ __all__ = [
     "RegionReport",
     "FoldSchedule",
     "check_measure",
-    "switch_equations",
     "is_recurrent",
     "boundary_cycles",
     "total_cusps",
     "classify_regions",
     "enumerate_diagonal_extensions",
     "add_diagonals",
-    "positive_on_base",
     "BranchCountReport",
     "branch_count_report",
     "max_fold_time",
@@ -173,38 +171,24 @@ class TrainTrack:
 # --- measures ---------------------------------------------------------------
 
 
-def _weights_on(track: TrainTrack, weights: Mapping[str, Fraction]) -> dict[str, Fraction]:
-    out = {}
+def check_measure(track: TrainTrack, weights: Mapping[str, Rational]) -> bool:
+    """True iff the weights balance at every switch: the branch ends on
+    side 0 carry the same total weight as those on side 1 (a loop with both
+    ends on one side counts twice).  Weights are summed as given, so int
+    weights stay ints.  A missing or negative weight, or one that is not a
+    `numbers.Rational`, raises ValueError."""
+    w = []
     for b in track.branches:
         if b.name not in weights:
             raise ValueError(f"no weight for branch {b.name}")
-        w = Fraction(weights[b.name])
-        if w < 0:
-            raise ValueError(f"negative weight {w} on branch {b.name}")
-        out[b.name] = w
-    return out
-
-
-def switch_equations(track: TrainTrack) -> list[dict[str, int]]:
-    """Per switch, the net coefficient of each branch weight (side 0 counts
-    +1 per end, side 1 counts -1 per end; a loop with both ends on one side
-    contributes twice)."""
-    eqs: list[dict[str, int]] = [{} for _ in track.switches]
-    for v, ends in enumerate(track.sides):
-        coeff, sign = eqs[v >> 1], -1 if v & 1 else 1
-        for bidx, _ in ends:
-            name = track.branches[bidx].name
-            coeff[name] = coeff.get(name, 0) + sign
-    return eqs
-
-
-def check_measure(track: TrainTrack, weights: Mapping[str, Fraction]) -> bool:
-    """True iff the weights balance at every switch."""
-    w = _weights_on(track, weights)
-    for coeff in switch_equations(track):
-        if sum(c * w[name] for name, c in coeff.items()) != 0:
-            return False
-    return True
+        x = weights[b.name]
+        if not isinstance(x, Rational):
+            raise ValueError(f"weight {x!r} on branch {b.name} is not rational")
+        if x < 0:
+            raise ValueError(f"negative weight {x} on branch {b.name}")
+        w.append(x)
+    sums = [sum(w[i] for i, _ in ends) for ends in track.sides]
+    return sums[0::2] == sums[1::2]
 
 
 # --- recurrence by closed smooth routes -------------------------------------
@@ -231,7 +215,7 @@ def _route_graph(track: TrainTrack) -> tuple[str, ...]:
 
 def is_recurrent(
     track: TrainTrack,
-) -> tuple[bool, dict[str, Fraction] | tuple[str, ...]]:
+) -> tuple[bool, dict[str, int] | tuple[str, ...]]:
     """Decide whether the track carries a strictly positive measure: whether
     every branch lies on a closed smooth route (Penner-Harer).  Returns
     (False, names of the branches on no closed route) or (True, witness).
@@ -269,7 +253,7 @@ def is_recurrent(
                 count[up[1]] += load[w]
                 load[up[0]] += load[w]
         roots = [r ^ 1 for r, up in parent.items() if up is None]
-    return True, {b.name: Fraction(c) for b, c in zip(track.branches, count)}
+    return True, {b.name: c for b, c in zip(track.branches, count)}
 
 
 # --- ribbon boundary traversal ----------------------------------------------
@@ -558,21 +542,6 @@ def enumerate_diagonal_extensions(
         if not _route_graph(ext):
             out.append(ext)
     return tuple(out)
-
-
-def positive_on_base(
-    base: TrainTrack, ext: TrainTrack, weights: Mapping[str, Fraction]
-) -> bool:
-    """True iff the measure on the extension is strictly positive on every
-    branch of the base track."""
-    base_names = {b.name for b in base.branches}
-    ext_names = {b.name for b in ext.branches}
-    if not base_names <= ext_names:
-        raise TrackStructureError(
-            f"not an extension: missing branches {sorted(base_names - ext_names)}"
-        )
-    w = _weights_on(ext, weights)
-    return all(w[name] > 0 for name in base_names)
 
 
 # --- branch count bounds ----------------------------------------------------

@@ -11,10 +11,12 @@ import random
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
 from hypothesis import strategies as st
 
+import curvebounds
 from curvebounds.penner import BaseCurve, TraceResult
 from curvebounds.pfmatrix import IntMatrix, is_irreducible, primitivity_exponent
 from curvebounds.pfmatrix import BlockTransition
@@ -33,6 +35,11 @@ SEED = int(os.environ.get("CURVEBOUNDS_TEST_SEED", "7130823"))
 
 def rng_for(name: str) -> random.Random:
     return random.Random(f"{SEED}:{name}")
+
+
+def data_path(name: str) -> Path:
+    """Path of a data file shipped with the package."""
+    return Path(curvebounds.__file__).parent / "data" / name
 
 
 # --- matrices ---------------------------------------------------------------
@@ -239,6 +246,22 @@ def brute_cover_time(bt: BlockTransition) -> int:
         acc = acc @ bt.matrix
         j += 1
     return j
+
+
+def format_matrix(
+    matrix: IntMatrix,
+    real_set=None,
+    surface: SurfaceSig | None = None,
+) -> str:
+    """The matrix file text that `fileio.load_matrix` reads back."""
+    out = [f"{matrix.rows} {matrix.cols}"]
+    for row in matrix.entries:
+        out.append(" ".join(str(e) for e in row))
+    if real_set is not None:
+        out.append("real: " + " ".join(str(i) for i in sorted(real_set)))
+    if surface is not None:
+        out.append(f"surface: {surface.genus} {surface.punctures}")
+    return "\n".join(out) + "\n"
 
 
 # --- characteristic polynomial ----------------------------------------------

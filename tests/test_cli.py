@@ -16,11 +16,11 @@ from hypothesis import example, given, settings, strategies as st
 import curvebounds
 from curvebounds import traintrack
 from curvebounds.cli import main, run_bounds, run_penner
-from curvebounds.fileio import data_path, format_track
+from curvebounds.fileio import format_track
 from curvebounds.penner import TraceResult, trace
 from curvebounds.reference import build_spine, spine_attachment
 
-from helpers import near_valid_texts, numeric_field, reference_penner_report
+from helpers import data_path, near_valid_texts, numeric_field, reference_penner_report
 
 CHAIN_MATRIX = "3 3\n0 1 0\n0 0 1\n0 0 1\nreal: 2\nsurface: 2 0\n"
 

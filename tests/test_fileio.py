@@ -9,8 +9,6 @@ from hypothesis import given, settings
 from curvebounds.fileio import (
     MatrixFileError,
     TrackFileError,
-    data_path,
-    format_matrix,
     format_track,
     load_matrix,
     load_track,
@@ -23,7 +21,14 @@ from curvebounds.reference import reference_attachment, reference_track
 from curvebounds.surfaces import SurfaceSig, frac_str
 from curvebounds.traintrack import TrackStructureError
 
-from helpers import near_valid_texts, numeric_field, random_matrix, rng_for
+from helpers import (
+    data_path,
+    format_matrix,
+    near_valid_texts,
+    numeric_field,
+    random_matrix,
+    rng_for,
+)
 
 
 def test_frac_strings():

@@ -4,10 +4,9 @@ their own graphs, slot lists and switch sums from the branches' slot data,
 their own supports from the intersection pattern and their own curve names
 from the support bitmasks, so none of them may read the library's
 switch-side index (`TrainTrack.sides`, `TrainTrack.ends`, the old
-`side_ends`), its switch equations or measure check, its route graph, its
-ribbon boundary walk, the trace's closed-neighbourhood step, the support
-decoder or the digraph layer.  `helpers.py` is read as text and
-parsed, never imported."""
+`side_ends`), its measure check, its route graph, its ribbon boundary walk,
+the trace's closed-neighbourhood step, the support decoder or the digraph
+layer.  `helpers.py` is read as text and parsed, never imported."""
 
 from __future__ import annotations
 
@@ -18,7 +17,7 @@ HELPERS = Path(__file__).resolve().parent / "helpers.py"
 
 BANNED = frozenset({
     "sides", "ends", "side_ends", "_route_graph", "boundary_cycles", "_closed",
-    "_digraph", "check_measure", "switch_equations",
+    "_digraph", "check_measure",
     # the support decoder
     "_curves", "_decode", "_byte_tables", "sorted_names",
 })
@@ -83,6 +82,6 @@ def test_name_walk_catches_every_form():
         "    cycles = tt.boundary_cycles(track)\n"
         "    b.sorted_names(' ')\n"
         "    p._byte_tables(masks, 0)\n"
-        "    tt.check_measure(track, w) and tt.switch_equations(track)\n"
+        "    tt.check_measure(track, w)\n"
     )
     assert _names(ast.parse(text)) & BANNED == BANNED

@@ -1,10 +1,14 @@
 """Public-name guard: every `__all__` entry of a `curvebounds` module
-resolves, and the package re-exports only names its modules list there."""
+resolves, the package re-exports only names its modules list there, and
+every re-exported name is used by the library, a demo, the benchmark or the
+acceptance gate, not only by its own tests."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import curvebounds
 
@@ -37,3 +41,68 @@ def test_package_exports_are_listed():
         assert importlib.import_module(module.__name__) is module
         assert getattr(curvebounds, short) is module
     assert not hasattr(curvebounds, "no_such_name")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _caller_files() -> list[Path]:
+    """The code that may call a public name: the library (its `__init__`
+    only re-exports), the demos, the benchmark and the acceptance gate."""
+    library = [p for p in (ROOT / "src" / "curvebounds").glob("*.py") if p.name != "__init__.py"]
+    bench = [p for p in (ROOT / "perfbench").glob("*.py") if p.name != "test_perfbench.py"]
+    demos = (ROOT / "demos").glob("*.py")
+    return [*library, *demos, *bench, ROOT / "tests" / "test_acceptance.py"]
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """Every name, attribute and import alias in the tree, and every part of
+    a dotted string (as in perfbench's `TRACED`), leaving out `__all__`
+    assignments and docstrings."""
+    skip: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "__all__" for t in node.targets
+        ):
+            skip.update(map(id, ast.walk(node)))
+        elif isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ) and ast.get_docstring(node, clean=False) is not None:
+            skip.add(id(node.body[0].value))
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+            names.add(node.asname or "")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(node.value.split("."))
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    """A name used only by its own tests is not public: delete it, or move
+    it into `tests/helpers.py`."""
+    used = set().union(
+        *(_used_names(ast.parse(p.read_text(encoding="utf-8"))) for p in _caller_files())
+    )
+    assert not set(curvebounds.__all__) - used, sorted(set(curvebounds.__all__) - used)
+
+
+def test_caller_walk_skips_docstrings_and_all():
+    text = (
+        '"""shown_in_docstring"""\n'
+        '__all__ = ["listed"]\n'
+        "from m import imported as alias\n"
+        "def f():\n"
+        '    """also_in_docstring"""\n'
+        '    return obj.attr(name, "mod.Cls.method")\n'
+    )
+    assert _used_names(ast.parse(text)) == {
+        "imported", "alias", "obj", "attr", "name", "mod", "Cls", "method",
+    }

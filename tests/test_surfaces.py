@@ -14,7 +14,6 @@ from curvebounds.surfaces import (
     lower_bound_from_spread_time,
     punctured_genus2_upper_bound,
     real_branch_bound,
-    scaled_bound,
     translation_length_lower_bound,
     translation_length_upper_bound,
 )
@@ -166,15 +165,6 @@ def test_spread_time_bound():
     assert lower_bound_from_spread_time(SurfaceSig(0, 5), 3) == Fraction(1, 21)
     with pytest.raises(ValueError):
         lower_bound_from_spread_time(SurfaceSig(2, 0), 0)
-
-
-def test_scaled_bound():
-    assert scaled_bound(Fraction(2), 4) == Fraction(1, 2)
-    assert scaled_bound(Fraction(3, 7), 1) == Fraction(3, 7)
-    with pytest.raises(ValueError):
-        scaled_bound(Fraction(1), 0)
-    with pytest.raises(ValueError):
-        scaled_bound(Fraction(-1), 2)
 
 
 def test_bound_report_validate():

@@ -21,9 +21,11 @@ from pathlib import Path
 import pytest
 
 import curvebounds
-from curvebounds.fileio import data_path, load_matrix, load_track
+from curvebounds.fileio import load_matrix, load_track
 from curvebounds.penner import TraceResult
 from curvebounds.pfmatrix import BlockTransition, IntMatrix
+
+from helpers import data_path
 
 TRACED_CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "traced_child.py"
 

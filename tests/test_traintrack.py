@@ -31,8 +31,6 @@ from curvebounds.traintrack import (
     enumerate_diagonal_extensions,
     is_recurrent,
     max_fold_time,
-    positive_on_base,
-    switch_equations,
     total_cusps,
     _chords,
     _crossing,
@@ -219,11 +217,6 @@ def test_low_valence_rejected():
 # --- measures and recurrence ------------------------------------------------
 
 
-def test_switch_equations_barbell():
-    eqs = switch_equations(barbell())
-    assert eqs == [{"loopL": 2, "bar": -1}, {"bar": 1, "loopR": -2}]
-
-
 def test_check_measure():
     t = barbell()
     good = {"loopL": Fraction(1), "bar": Fraction(2), "loopR": Fraction(1)}
@@ -231,6 +224,45 @@ def test_check_measure():
     assert not check_measure(t, {"loopL": Fraction(1), "bar": Fraction(1), "loopR": Fraction(1)})
     with pytest.raises(ValueError):
         check_measure(t, {"loopL": Fraction(1)})
+    with pytest.raises(ValueError):
+        check_measure(t, {"loopL": 1, "bar": 2, "loopR": -1})
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        {"loopL": 1.0, "bar": 2.0, "loopR": 1.0},
+        {"loopL": 0.5, "bar": 1, "loopR": 0.5},
+        {"loopL": "1", "bar": "2", "loopR": "1"},
+        {"loopL": 1, "bar": "2", "loopR": 1},
+    ],
+)
+def test_check_measure_refuses_float_and_string_weights(weights):
+    """Weights are summed as given, never converted: a float or a string
+    that would balance as a Fraction raises."""
+    with pytest.raises(ValueError):
+        check_measure(barbell(), weights)
+
+
+def test_check_measure_agrees_with_the_balance_oracle():
+    """On the int witness, on the same weights as Fractions, on a seventh
+    of them and on random int weights, `check_measure` gives the verdict of
+    `switch_balance`, whatever the weights' type."""
+    rng = rng_for("track-measure")
+    verdicts = Counter()
+    for _ in range(3000):
+        t = random_small_track(rng)
+        ok, w = is_recurrent(t)
+        trials = [{b.name: rng.randint(0, 3) for b in t.branches}]
+        if ok:
+            assert_integer_witness(t, w)
+            trials += [w, {name: Fraction(v, 7) for name, v in w.items()}]
+        for weights in trials:
+            verdict = not any(switch_balance(t, weights).values())
+            as_fractions = {name: Fraction(v) for name, v in weights.items()}
+            assert check_measure(t, weights) == check_measure(t, as_fractions) == verdict
+            verdicts[verdict, type(next(iter(weights.values())))] += 1
+    assert verdicts[True, int] and verdicts[False, int] and verdicts[True, Fraction]
 
 
 def test_recurrent_barbell():
@@ -265,7 +297,7 @@ def assert_integer_witness(track: TrainTrack, w) -> None:
     simple tree paths and the branch) and balances at every switch."""
     assert set(w) == {b.name for b in track.branches}
     top = 4 * track.num_branches + 1
-    assert all(v.denominator == 1 and 1 <= v <= top for v in w.values())
+    assert all(type(v) is int and 1 <= v <= top for v in w.values())
     assert check_measure(track, w)
     assert not any(switch_balance(track, w).values())
 
@@ -322,7 +354,7 @@ def test_self_loop_routes():
             Branch("b", (end("s", 0, 1), end("s", 1, 1))),
         ),
     )
-    assert is_recurrent(t) == (True, {"a": Fraction(1), "b": Fraction(1)})
+    assert is_recurrent(t) == (True, {"a": 1, "b": 1})
 
 
 def test_two_disjoint_live_components():
@@ -504,11 +536,6 @@ def test_extensions_need_large_track():
     att = RegionAttachment(SurfaceSig(2, 0), ((0, 0), (1, 0), (0, 0)))
     with pytest.raises(TrackStructureError):
         enumerate_diagonal_extensions(barbell(), att)
-
-
-def test_positive_on_base_requires_extension():
-    with pytest.raises(TrackStructureError):
-        positive_on_base(barbell(), dead_branch_track(), {})
 
 
 def test_add_diagonals_noop():
