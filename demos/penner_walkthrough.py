@@ -20,7 +20,7 @@ print()
 
 witnesses = dict(result.certificates)
 for k, support in enumerate(result.supports[: 3 * GENUS + 1]):
-    names = " ".join(sorted(str(c) for c in support))
+    names = " ".join(map(str, sorted(support)))
     note = f"   witness {witnesses[k]}" if k in witnesses else ""
     print(f"S_{k:<2} = {{{names}}}{note}")
 

@@ -18,10 +18,10 @@ event's step.  N[S] is kept across events: it rotates with S, and a twist
 that adds a curve adds that curve's neighbourhood.  The work is O(g)
 events of a few O(g)-bit operations each.  The per-step supports and
 certificates are rebuilt on demand by replaying the rotations, and a
-support's curve names are read off its bytes through tables built once
-per report.  The test suite cross-checks the trace against an independent
-set-based model of the same system and against the plain step-by-step
-loop.
+support's curve names are read off its bytes, in curve order, through one
+text table per byte built once per report.  The test suite cross-checks
+the trace against an independent set-based model of the same system and
+against the plain step-by-step loop.
 """
 
 from __future__ import annotations
@@ -88,11 +88,9 @@ class TraceResult:
     rotation, from the start (k = 0); every other step up to K = `steps`
     only rotates the support.  `masks` (the supports S_k), `certificates`
     and `supports` are rebuilt from it by replaying rotations on first use.
-    One curve table maps each bit to its curve, and `certificates` reads
-    it.  `supports` and `sorted_names` decode the replayed masks the same
-    way, by looking up each byte of a mask in a table built once per call
-    (`_byte_tables`): `supports` in a table of curve tuples, `sorted_names`
-    in a table of string-order bits and then of text.
+    `certificates` reads one table of the curve of each bit; `supports` and
+    `sorted_names` look up each byte of a replayed mask in a table per byte
+    (`_byte_tables`), of curve tuples or of text, built once per call.
     The certified iterates are exactly 1..`best_k`, and `bound` is 2/`best_k`.
     Immutable; the instance dict holds the fields and the cached properties.
     """
@@ -164,23 +162,14 @@ class TraceResult:
         )
 
     def sorted_names(self, sep: str) -> Iterator[str]:
-        """Each support's curve names in string order (a1, a10, a100, a11,
-        ...), joined by `sep`.  One table per byte of the index-order mask
-        gives that byte's part of the string-order mask, whose bit r stands
-        for the r-th curve in that order; the bytes of that mask are looked
-        up in one table of text per byte, so there is no sort per support
-        and no `masks` tuple."""
-        curves = self._curves
-        order = sorted(range(len(curves)), key=lambda cid: str(curves[cid]))
-        bits = [0] * len(curves)  # the string-order bit of each index-order bit
-        for r, cid in enumerate(order):
-            bits[cid] = 1 << r
-        parts = _byte_tables(bits, 0)
-        text = _byte_tables([f"{sep}{curves[cid]}" for cid in order], "")
-        nbytes, cut = len(parts), len(sep)
-        # The parts of a mask share no bit, so their sum is their union.
-        masks = (sum(map(getitem, parts, m.to_bytes(nbytes, "little"))) for m in self._replay())
-        return ("".join(map(getitem, text, m.to_bytes(nbytes, "little")))[cut:] for m in masks)
+        """Each support's curve names in curve order (a1..ag, b1..bg,
+        c1..cg, the order of its bits and of `BaseCurve`), joined by `sep`:
+        one text table per byte of the replayed mask, so there is no sort
+        per support and no `masks` tuple."""
+        text = _byte_tables([f"{sep}{c}" for c in self._curves], "")
+        nbytes, cut = len(text), len(sep)
+        return ("".join(map(getitem, text, m.to_bytes(nbytes, "little")))[cut:]
+                for m in self._replay())
 
 
 def _byte_tables(items: list, empty) -> list[list]:

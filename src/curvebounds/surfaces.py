@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from numbers import Rational
 from typing import NamedTuple
 
 __all__ = [
@@ -160,7 +161,7 @@ class BoundReport(NamedTuple):
             )
 
 
-def frac_str(x: Fraction) -> str:
-    """`x` as "p/q" in lowest terms, with q = 1 for an integer."""
-    x = Fraction(x)
+def frac_str(x: Rational) -> str:
+    """`x` as "p/q", with q = 1 for an integer.  An int or a `Fraction` is
+    already in lowest terms, so no `Fraction` is built."""
     return f"{x.numerator}/{x.denominator}"

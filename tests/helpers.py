@@ -764,13 +764,14 @@ def step_trace(genus: int, cap: int | None = None) -> StepTrace:
 def reference_penner_report(result: TraceResult, as_json: bool) -> tuple[str, int]:
     """Stdout and exit code of `penner` for `result`, built as one payload
     from the support bitmasks and printed whole.  Each support's names come
-    from its own bit loop and `sorted`, not from the library's decoder."""
+    from its own bit loop, in bit order (curve order), not from the
+    library's decoder."""
     genus = result.genus
     upper = translation_length_upper_bound(genus)
     ok = result.bound <= upper
     # Bit f*g + i - 1 of a mask is family f, index i.
     names = [f"{family}{i}" for family in FAMILIES for i in range(1, genus + 1)]
-    supports = [sorted(name for i, name in enumerate(names) if m >> i & 1) for m in result.masks]
+    supports = [[name for i, name in enumerate(names) if m >> i & 1] for m in result.masks]
     payload = {
         "genus": genus,
         "cap": result.cap,

@@ -35,6 +35,7 @@ def test_frac_strings():
     assert frac_str(Fraction(1, 660)) == "1/660"
     assert frac_str(Fraction(2)) == "2/1"
     assert Fraction(frac_str(Fraction(-7, 3))) == Fraction(-7, 3)
+    assert frac_str(7) == "7/1"
 
 
 def test_matrix_round_trip_plain():

@@ -192,13 +192,13 @@ def test_trace_matches_set_implementation():
         assert t.supports == supports, g
         assert t.certificates == certificates, g
         for sep in (" ", ", ", '",\n      "'):
-            expected = [sep.join(sorted(map(str, s))) for s in supports]
+            expected = [sep.join(map(str, sorted(s))) for s in supports]
             assert list(t.sorted_names(sep)) == expected, (g, sep)
     supports, certificates = oracle_trace(7, cap=11)
     t = trace(7, cap=11)
     assert len(supports) == 12
     assert (t.supports, t.certificates) == (supports, certificates)
-    assert list(t.sorted_names(" ")) == [" ".join(sorted(map(str, s))) for s in supports]
+    assert list(t.sorted_names(" ")) == [" ".join(map(str, sorted(s))) for s in supports]
 
 
 def _events(masks, genus):
