@@ -4,10 +4,12 @@ Subcommands: `bounds` (closed-form bound table over a genus range),
 `penner` (trace report for one genus), `pf` (matrix file analysis) and
 `track` (track file validation).  Exit status: 0 when every verdict in the
 run passes, 1 when a verdict fails or a table row degrades to an error
-marker, 2 for unusable input.  Exact rationals are printed as "p/q"; the
-only float in any JSON report is the flm_upper_float64 field.  A `--json`
-report is compact JSON on one line: keys sorted, no whitespace between
-tokens, and a closing newline (`python -m json.tool` pretty-prints one).
+marker, 2 for unusable input.  Integer certificates, such as the `track`
+witness weights, are printed as JSON integers and exact rationals as
+"p/q"; the only float in any JSON report is the flm_upper_float64 field.
+A `--json` report is compact JSON on one line: keys sorted, no
+whitespace between tokens, and a closing newline (`python -m json.tool`
+pretty-prints one).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 
 # Modules, not names: the package loads each one at its first attribute
 # lookup, so a subcommand runs only the engines it calls.
-from . import fileio, penner, pfmatrix, surfaces, traintrack
+from . import _signature, fileio, penner, pfmatrix, surfaces, traintrack
 
 __all__ = ["main", "run_bounds", "run_penner", "run_pf", "run_track"]
 
@@ -174,7 +176,7 @@ def run_pf(input_path: str, as_json: bool) -> int:
         rq = bt.q
         i = k - 2 * bt.r * rq  # the cover time, as k = 2rq + i
         chi = doc.surface.chi
-        coeff = surfaces.lower_bound_coefficient(doc.surface)
+        coeff = _signature.lower_bound_coefficient(doc.surface)
         k_bound = coeff * chi * chi
         ok = k < k_bound
         payload["block"] = {
@@ -242,7 +244,7 @@ def run_track(input_path: str, as_json: bool) -> int:
 
     recurrent, evidence = traintrack.is_recurrent(track)
     if recurrent:
-        payload["witness"] = {name: surfaces.frac_str(w) for name, w in evidence.items()}
+        payload["witness"] = evidence
         # The certificate is checked at every switch, not trusted.
         recurrent = traintrack.check_measure(track, evidence)
         lines.append(
@@ -279,7 +281,7 @@ def run_track(input_path: str, as_json: bool) -> int:
         + ("PASS" if counts.real_ok else "FAIL")
     )
 
-    cusps, bound = traintrack.total_cusps(track), surfaces.cusp_bound(sig)
+    cusps, bound = traintrack.total_cusps(track), _signature.cusp_bound(sig)
     checks["cusp_count"] = cusps <= bound
     payload["cusps"] = {"total": cusps, "bound": bound}
     lines.append(

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 # Modules, not names: a matrix file never loads `traintrack`, nor a track
 # file `pfmatrix`.
-from . import pfmatrix, surfaces, traintrack
+from . import _signature, pfmatrix, traintrack
 
 __all__ = [
     "MatrixFileError",
@@ -111,7 +111,7 @@ def _fields(line: str) -> list[str]:
 class MatrixDocument(NamedTuple):
     matrix: pfmatrix.IntMatrix
     real_set: frozenset | None
-    surface: surfaces.SurfaceSig | None
+    surface: _signature.SurfaceSig | None
 
 
 def parse_matrix_text(text: str) -> MatrixDocument:
@@ -161,7 +161,7 @@ def parse_matrix_text(text: str) -> MatrixDocument:
             if len(items) != 2 or not all(_is_uint(i) for i in items):
                 raise MatrixFileError(f'line {lineno}: "surface:" needs "g n"')
             sig = _surface_ints(items, lineno, MatrixFileError)
-            surface = surfaces.SurfaceSig(*sig)
+            surface = _signature.SurfaceSig(*sig)
         else:
             raise MatrixFileError(f"line {lineno}: unexpected trailing line {line!r}")
     return MatrixDocument(pfmatrix.IntMatrix(entries), real_set, surface)
@@ -175,7 +175,7 @@ def load_matrix(path) -> MatrixDocument:
 
 
 class TrackDocument(NamedTuple):
-    surface: surfaces.SurfaceSig
+    surface: _signature.SurfaceSig
     switches: tuple[str, ...]
     branches: tuple[traintrack.Branch, ...]
     attach: tuple[tuple[int, int], ...]
@@ -224,7 +224,7 @@ def parse_track_text(text: str) -> TrackDocument:
             if len(parts) != 3 or not _is_uint(parts[1]) or not _is_uint(parts[2]):
                 raise TrackFileError(f'line {lineno}: expected "surface g n"')
             sig = _surface_ints(parts[1:], lineno, TrackFileError)
-            surface = surfaces.SurfaceSig(*sig)
+            surface = _signature.SurfaceSig(*sig)
         elif head == "switches":
             section = "switches"
             switches.extend(_name(p, lineno) for p in parts[1:])

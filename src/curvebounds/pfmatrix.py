@@ -11,11 +11,10 @@ integer entries.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._digraph import components, image, layers, reverse
-from .surfaces import SurfaceSig, branch_bound, real_branch_bound
+from ._signature import SurfaceSig, branch_bound, real_branch_bound
 
 __all__ = [
     "IntMatrix",
@@ -349,6 +348,9 @@ def perron_root_bracket(m: IntMatrix) -> tuple[Fraction, Fraction]:
     geometrically in the number of steps.  Some u_i = 0 means row i of
     m^200 vanishes, which only a reducible matrix allows.
     """
+    # Imported here: no CLI path calls this, so `pf` never loads Fraction.
+    from fractions import Fraction
+
     _require_square(m)
 
     def step(u: list[int]) -> list[int]:

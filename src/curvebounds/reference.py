@@ -18,7 +18,7 @@ reference_track() checks is_recurrent and names the first dead branch.
 
 from __future__ import annotations
 
-from .surfaces import SurfaceSig
+from ._signature import SurfaceSig
 from .traintrack import (
     Branch,
     BranchEnd,

@@ -23,7 +23,7 @@ from numbers import Rational
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ._digraph import components
-from .surfaces import SurfaceSig, branch_bound, cusp_bound, real_branch_bound
+from ._signature import SurfaceSig, branch_bound, cusp_bound, real_branch_bound
 
 __all__ = [
     "TAGS",

@@ -16,11 +16,15 @@ from hypothesis import example, given, settings, strategies as st
 import curvebounds
 from curvebounds import traintrack
 from curvebounds.cli import main, run_bounds, run_penner
-from curvebounds.fileio import format_track
+from curvebounds.fileio import format_track, load_track
 from curvebounds.penner import TraceResult, trace
-from curvebounds.reference import build_spine, spine_attachment
+from curvebounds.reference import (
+    build_spine, reference_attachment, reference_track, spine_attachment,
+)
 
-from helpers import data_path, near_valid_texts, numeric_field, reference_penner_report
+from helpers import (
+    data_path, near_valid_texts, numeric_field, reference_penner_report, switch_balance,
+)
 
 CHAIN_MATRIX = "3 3\n0 1 0\n0 0 1\n0 0 1\nreal: 2\nsurface: 2 0\n"
 
@@ -421,6 +425,27 @@ def test_track_reference_files_pass(capsys):
         }
 
 
+def test_track_witness_prints_json_ints_that_balance(tmp_path, capsys):
+    """The `--json` witness gives each branch a JSON integer weight of at
+    least 1, and those weights balance at every switch by the oracle.  Ints
+    keep the report small: 15,277 bytes for the genus-100 reference track,
+    where "c/1" strings took 19,245."""
+    paths = [data_path(f"genus{g}_maximal.track") for g in (2, 3)]
+    for genus in (*range(2, 11), 100):
+        p = tmp_path / f"reference{genus}.track"
+        p.write_text(format_track(reference_track(genus), reference_attachment(genus)))
+        paths.append(p)
+    for path in paths:
+        assert main(["track", "--input", str(path), "--json"]) == 0
+        out = capsys.readouterr().out
+        witness = json.loads(out)["witness"]
+        track, _ = load_track(str(path)).build()
+        assert set(witness) == {b.name for b in track.branches}
+        assert all(type(v) is int and v >= 1 for v in witness.values())
+        assert set(switch_balance(track, witness).values()) == {0}
+    assert len(out.encode()) <= 15_300  # reference_track(100), the last path
+
+
 def test_track_structure_failure(tmp_path, capsys):
     p = tmp_path / "t.track"
     p.write_text(TWO_VALENT_TRACK)
@@ -461,7 +486,7 @@ def test_track_refuses_a_witness_that_does_not_balance(capsys, monkeypatch):
     prints PASS: an unbalanced one (every weight 1 on a trivalent track)
     fails the recurrence check with exit 1 and no traceback."""
     def unbalanced(track):
-        return True, {b.name: Fraction(1) for b in track.branches}
+        return True, {b.name: 1 for b in track.branches}
 
     monkeypatch.setattr(traintrack, "is_recurrent", unbalanced)
     path = str(data_path("genus2_maximal.track"))
@@ -690,11 +715,12 @@ finally:
 @pytest.mark.parametrize(
     "args, code, executed",
     [
-        (["bounds", "--genus-min", "2", "--genus-max", "6"], 0, {"surfaces", "penner"}),
-        (["penner", "--genus", "4", "--json"], 0, {"surfaces", "penner"}),
-        (["pf", "--input", "{matrix}"], 0, {"surfaces", "pfmatrix", "fileio", "_digraph"}),
+        (["bounds", "--genus-min", "2", "--genus-max", "6"], 0,
+         {"surfaces", "_signature", "penner"}),
+        (["penner", "--genus", "4", "--json"], 0, {"surfaces", "_signature", "penner"}),
+        (["pf", "--input", "{matrix}"], 0, {"_signature", "pfmatrix", "fileio", "_digraph"}),
         (["track", "--input", "{track}"], 0,
-         {"surfaces", "traintrack", "fileio", "_digraph"}),
+         {"_signature", "traintrack", "fileio", "_digraph"}),
         (["penner"], 2, set()),
     ],
     ids=["bounds", "penner", "pf", "track", "usage-error"],
@@ -703,7 +729,8 @@ def test_subcommand_runs_only_its_engine(tmp_path, args, code, executed):
     """Each subcommand executes only the engine modules it calls, never loads
     numpy, dataclasses or inspect, loads json only for a report that
     `json.dumps` writes (none of these cases), and writes nothing to stderr
-    when it succeeds."""
+    when it succeeds.  `pf` and `track` load neither fractions nor decimal,
+    and `pf` not numbers either."""
     matrix = tmp_path / "chain.matrix"
     matrix.write_text(CHAIN_MATRIX)
     paths = {"{matrix}": str(matrix), "{track}": str(data_path("genus2_maximal.track"))}
@@ -723,6 +750,10 @@ def test_subcommand_runs_only_its_engine(tmp_path, args, code, executed):
     assert set(probe["executed"]) == executed
     assert not probe["numpy"]
     assert not {"dataclasses", "inspect", "json"} & set(probe["added"])
+    if args[0] in ("pf", "track"):
+        assert not {"fractions", "decimal"} & set(probe["added"])
+    if args[0] == "pf":
+        assert "numbers" not in probe["added"]
 
 
 def _limit_address_space(nbytes: int) -> None:
