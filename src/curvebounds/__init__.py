@@ -60,8 +60,7 @@ _EXPORTS = {
             "reference_track", "spine_attachment",
         )),
         (fileio, (
-            "MatrixFileError", "TrackFileError", "format_track", "load_matrix",
-            "load_track",
+            "MatrixFileError", "TrackFileError", "load_matrix", "load_track",
         )),
     )
     for name in names

@@ -3,8 +3,8 @@
 Bit w of `succ[v]` is set iff there is an edge v -> w.  Both certificate
 engines run their graph questions through these functions: the support
 digraph of a transition matrix and the switch-side graph of a train track.
-Every distance question (girth, cover time) reads the one breadth-first
-walk, `layers`.
+Only successor rows are kept, never a reversed digraph: shortest cycles
+read the breadth-first walk `layers`, and boolean products read `image`.
 """
 
 from __future__ import annotations
@@ -20,12 +20,6 @@ def image(succ: Sequence[int], mask: int) -> int:
         out |= succ[low.bit_length() - 1]
         mask ^= low
     return out
-
-
-def reverse(succ: Sequence[int]) -> list[int]:
-    """Successor rows of the reversed digraph: bit v of row w iff v -> w."""
-    n = len(succ)
-    return [sum((succ[v] >> w & 1) << v for v in range(n)) for w in range(n)]
 
 
 def layers(succ: Sequence[int], start: int) -> Iterator[int]:

@@ -37,7 +37,6 @@ __all__ = [
     "TrackDocument",
     "parse_track_text",
     "load_track",
-    "format_track",
     "track_to_json",
 ]
 
@@ -272,24 +271,6 @@ def parse_track_text(text: str) -> TrackDocument:
 
 def load_track(path) -> TrackDocument:
     return parse_track_text(_read_utf8(path, TrackFileError))
-
-
-def format_track(
-    track: traintrack.TrainTrack, attachment: traintrack.RegionAttachment
-) -> str:
-    out = [f"surface {attachment.surface.genus} {attachment.surface.punctures}"]
-    out.append("switches " + " ".join(track.switches))
-    out.append("branches")
-    for b in track.branches:
-        e0, e1 = b.ends
-        out.append(
-            f"{b.name} {e0.switch}:{e0.side}:{e0.slot} "
-            f"{e1.switch}:{e1.side}:{e1.slot} {b.tag}"
-        )
-    out.append("attach")
-    for i, (genus, punctures) in enumerate(attachment.regions):
-        out.append(f"{i} {genus} {punctures}")
-    return "\n".join(out) + "\n"
 
 
 def track_to_json(

@@ -3,17 +3,18 @@
 Every zero-pattern question (irreducibility, shortest cycles, cover times,
 positivity of powers) runs on the boolean support digraph, which an
 `IntMatrix` builds once, while it validates its entries, and keeps as
-`support`, one int bitmask per row.  Shortest cycles and cover times read
-the breadth-first walk of `_digraph`; powers of the support are taken by
-repeated squaring.  Only block products and the Perron root bracket use
-integer entries.
+`support`, one int bitmask per row, and answers each question from those
+rows alone.  Shortest cycles read the breadth-first walk of `_digraph`,
+cover times grow the covered set row by row, and powers of the support are
+taken by repeated squaring, only as far as the answer needs.  Only block
+products and the Perron root bracket use integer entries.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from ._digraph import components, image, layers, reverse
+from ._digraph import components, image, layers
 from ._signature import SurfaceSig, branch_bound, real_branch_bound
 
 __all__ = [
@@ -175,18 +176,22 @@ def primitivity_exponent(m: IntMatrix) -> int | None:
     A positive power makes the support strongly connected and primitive, so
     the least one is at most the sharp Wielandt bound W = dim^2 - 2 dim + 2;
     it also rules out zero rows, so every later power is positive too.  The
-    support is therefore squared until the exponent reaches W: if that power
-    is not all-ones, no power is; otherwise a binary descent over the saved
-    squares finds the largest s' with m^s' not all-ones, and s = s' + 1.
+    support is therefore squared until the first all-ones square m^(2^J),
+    which bounds s by 2^J; if none comes by the square whose exponent reaches
+    W, no power is positive.  A binary descent over the squares below m^(2^J)
+    then finds the largest s' with m^s' not all-ones, and s = s' + 1: at
+    most 2J - 1 boolean products in all.
     """
     _require_square(m)
     n = m.rows
     full = (1 << n) - 1
+    last = (wielandt_bound(n) - 1).bit_length()  # 2^last >= W
     squares = [m.support]  # squares[j] is the support of m^(2^j)
-    for _ in range((wielandt_bound(n) - 1).bit_length()):
+    while any(row != full for row in squares[-1]):
+        if len(squares) > last:
+            return None
         squares.append(_bool_mul(squares[-1], squares[-1]))
-    if any(row != full for row in squares.pop()):
-        return None
+    squares.pop()
     below, power = 0, None  # power is the support of m^below, None for m^0
     for j in reversed(range(len(squares))):
         step = squares[j] if power is None else _bool_mul(power, squares[j])
@@ -294,20 +299,24 @@ def cover_time(bt: BlockTransition) -> int:
     """Smallest j >= 0 such that every branch carries the j-th image of some
     real branch; 0 exactly when every branch is real.
 
-    Computed as the breadth-first depth of the reversed support digraph from
-    the real set: branch b is covered at depth d+1 when its row has a
-    positive entry in a column covered at depth d.
+    The covered set grows out from the real set, one layer per step, read
+    off the support rows: branch b joins at depth d+1 when its row has a
+    positive entry in a column that joined at depth d.  Only the rows of
+    branches not yet covered are read again.
     """
-    real = sum(1 << i for i in bt.real_set)  # nonempty, so depth gets set
-    covered = 0
-    for depth, layer in enumerate(layers(reverse(bt.matrix.support), real)):
-        covered |= layer
-    if covered != (1 << bt.dim) - 1:
-        missing = [b for b in range(bt.dim) if not (covered >> b) & 1]
-        raise NotBHStructureError(
-            "not a BH transition structure: branches never covered by "
-            f"images of the real set: {missing}"
-        )
+    support = bt.matrix.support
+    layer = sum(1 << i for i in bt.real_set)
+    rest = [b for b in range(bt.dim) if not layer >> b & 1]
+    depth = 0
+    while rest:
+        layer = sum(1 << b for b in rest if support[b] & layer)
+        if not layer:
+            raise NotBHStructureError(
+                "not a BH transition structure: branches never covered by "
+                f"images of the real set: {rest}"
+            )
+        rest = [b for b in rest if not layer >> b & 1]
+        depth += 1
     return depth
 
 

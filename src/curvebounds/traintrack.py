@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from numbers import Rational
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ._digraph import components
@@ -171,19 +170,19 @@ class TrainTrack:
 # --- measures ---------------------------------------------------------------
 
 
-def check_measure(track: TrainTrack, weights: Mapping[str, Rational]) -> bool:
-    """True iff the weights balance at every switch: the branch ends on
+def check_measure(track: TrainTrack, weights: Mapping[str, int]) -> bool:
+    """True iff the int weights balance at every switch: the branch ends on
     side 0 carry the same total weight as those on side 1 (a loop with both
-    ends on one side counts twice).  Weights are summed as given, so int
-    weights stay ints.  A missing or negative weight, or one that is not a
-    `numbers.Rational`, raises ValueError."""
+    ends on one side counts twice).  A missing or negative weight, or one
+    that is not an int (a Fraction, a float or a string), raises
+    ValueError."""
     w = []
     for b in track.branches:
         if b.name not in weights:
             raise ValueError(f"no weight for branch {b.name}")
         x = weights[b.name]
-        if not isinstance(x, Rational):
-            raise ValueError(f"weight {x!r} on branch {b.name} is not rational")
+        if not isinstance(x, int):
+            raise ValueError(f"weight {x!r} on branch {b.name} is not an int")
         if x < 0:
             raise ValueError(f"negative weight {x} on branch {b.name}")
         w.append(x)

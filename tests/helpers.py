@@ -27,6 +27,7 @@ from curvebounds.traintrack import (
     BranchEnd,
     Cusp,
     CuspVisit,
+    RegionAttachment,
     TrainTrack,
 )
 
@@ -264,6 +265,22 @@ def format_matrix(
     return "\n".join(out) + "\n"
 
 
+def format_track(track: TrainTrack, attachment: RegionAttachment) -> str:
+    """The track file text that `fileio.load_track` reads back."""
+    out = [f"surface {attachment.surface.genus} {attachment.surface.punctures}"]
+    out.append("switches " + " ".join(track.switches))
+    out.append("branches")
+    for name, (e0, e1), tag in track.branches:
+        out.append(
+            f"{name} {e0.switch}:{e0.side}:{e0.slot} "
+            f"{e1.switch}:{e1.side}:{e1.slot} {tag}"
+        )
+    out.append("attach")
+    for i, (genus, punctures) in enumerate(attachment.regions):
+        out.append(f"{i} {genus} {punctures}")
+    return "\n".join(out) + "\n"
+
+
 # --- characteristic polynomial ----------------------------------------------
 # Polynomials are lists of Fraction coefficients, highest degree first, with
 # no leading zero; [] is the zero polynomial.
@@ -488,8 +505,9 @@ def some_closed_route(track: TrainTrack) -> list[int] | None:
     return None
 
 
-def counting_measure(track: TrainTrack, route: list[int]) -> dict[str, Fraction]:
-    weights = {b.name: Fraction(0) for b in track.branches}
+def counting_measure(track: TrainTrack, route: list[int]) -> dict[str, int]:
+    """How many times the route runs through each branch."""
+    weights = {b.name: 0 for b in track.branches}
     for bidx in route:
         weights[track.branches[bidx].name] += 1
     return weights

@@ -16,14 +16,15 @@ from hypothesis import example, given, settings, strategies as st
 import curvebounds
 from curvebounds import traintrack
 from curvebounds.cli import main, run_bounds, run_penner
-from curvebounds.fileio import format_track, load_track
+from curvebounds.fileio import load_track
 from curvebounds.penner import TraceResult, trace
 from curvebounds.reference import (
     build_spine, reference_attachment, reference_track, spine_attachment,
 )
 
 from helpers import (
-    data_path, near_valid_texts, numeric_field, reference_penner_report, switch_balance,
+    data_path, format_track, near_valid_texts, numeric_field, reference_penner_report,
+    switch_balance,
 )
 
 CHAIN_MATRIX = "3 3\n0 1 0\n0 0 1\n0 0 1\nreal: 2\nsurface: 2 0\n"
@@ -729,8 +730,8 @@ def test_subcommand_runs_only_its_engine(tmp_path, args, code, executed):
     """Each subcommand executes only the engine modules it calls, never loads
     numpy, dataclasses or inspect, loads json only for a report that
     `json.dumps` writes (none of these cases), and writes nothing to stderr
-    when it succeeds.  `pf` and `track` load neither fractions nor decimal,
-    and `pf` not numbers either."""
+    when it succeeds.  `pf` and `track` load none of fractions, decimal and
+    numbers."""
     matrix = tmp_path / "chain.matrix"
     matrix.write_text(CHAIN_MATRIX)
     paths = {"{matrix}": str(matrix), "{track}": str(data_path("genus2_maximal.track"))}
@@ -751,9 +752,7 @@ def test_subcommand_runs_only_its_engine(tmp_path, args, code, executed):
     assert not probe["numpy"]
     assert not {"dataclasses", "inspect", "json"} & set(probe["added"])
     if args[0] in ("pf", "track"):
-        assert not {"fractions", "decimal"} & set(probe["added"])
-    if args[0] == "pf":
-        assert "numbers" not in probe["added"]
+        assert not {"fractions", "decimal", "numbers"} & set(probe["added"])
 
 
 def _limit_address_space(nbytes: int) -> None:

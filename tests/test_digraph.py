@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 from curvebounds import _digraph
-from curvebounds._digraph import components, image, layers, reverse
+from curvebounds._digraph import components, image, layers
 
 from helpers import brute_distances, random_digraph, rng_for
 
@@ -32,13 +32,6 @@ def test_components_are_mutual_reachability():
         for u in range(len(succ)):
             for v in range(len(succ)):
                 assert (label[u] == label[v]) == (v in reach[u] and u in reach[v])
-
-
-def test_reverse_flips_every_edge():
-    for succ, rows, _ in random_cases():
-        pred = reverse(rows)
-        n = len(succ)
-        assert pred == [sum(1 << v for v in range(n) if w in succ[v]) for w in range(n)]
 
 
 def test_layers_are_distance_classes():

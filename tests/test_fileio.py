@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from curvebounds.fileio import (
     MatrixFileError,
     TrackFileError,
-    format_track,
     load_matrix,
     load_track,
     parse_matrix_text,
@@ -24,6 +23,7 @@ from curvebounds.traintrack import TrackStructureError
 from helpers import (
     data_path,
     format_matrix,
+    format_track,
     near_valid_texts,
     numeric_field,
     random_matrix,

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from curvebounds import pfmatrix
 from curvebounds.pfmatrix import (
     BlockStructureError,
     BlockTransition,
@@ -211,7 +213,52 @@ def test_wielandt_matrix_attains_the_bound(n):
         assert brute_exponent(m, wielandt_bound(n)) == wielandt_bound(n)
 
 
-@pytest.mark.parametrize("period", [2, 3])
+def test_sparse_primitive_exponents_match_oracle():
+    """Random sparse matrices up to n = 60, most of them primitive with a
+    small exponent: the exponent is the first positive integer power, and a
+    matrix with no positive power up to 12 gets None or an exponent past 12."""
+    rng = rng_for("pf-prim-sparse")
+    small = 0
+    for n in range(4, 61, 4):
+        for scale in (1.5, 3.0):
+            m = random_matrix(rng, n, density=min(1.0, scale * math.log(n) / n))
+            e = primitivity_exponent(m)
+            assert brute_exponent(m, 12) == (e if e is not None and e <= 12 else None), n
+            small += e is not None and e <= 12
+    assert small >= 20
+
+
+def test_exponent_search_stops_at_the_first_positive_square(monkeypatch):
+    """At n = 40, a matrix of exponent s takes at most 2 ceil(log2 s) boolean
+    products: squares up to the first all-ones one, then the descent below
+    it.  The band I + P + ... + P^c of the 40-cycle P has exponent
+    ceil(39 / c).  A matrix with no positive power takes the
+    ceil(log2 W) squares that reach the Wielandt bound W, and no more."""
+    calls = []
+    real_mul = pfmatrix._bool_mul
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return real_mul(a, b)
+
+    monkeypatch.setattr(pfmatrix, "_bool_mul", counting_mul)
+    n = 40
+    cases = [
+        (IntMatrix([[int((j - i) % n <= c) for j in range(n)] for i in range(n)]), -(-39 // c))
+        for c in range(1, n)
+    ]
+    cases.append((wielandt_matrix(n), wielandt_bound(n)))
+    for m, s in cases:
+        calls.clear()
+        assert primitivity_exponent(m) == s
+        assert len(calls) <= 2 * (s - 1).bit_length(), (s, len(calls))
+    calls.clear()
+    rng = rng_for("pf-prim-count")
+    assert primitivity_exponent(cyclic_class_matrix(rng, n, 2)) is None
+    assert len(calls) == (wielandt_bound(n) - 1).bit_length() == 11
+
+
+@pytest.mark.parametrize("period", [2, 3, 4, 5])
 def test_imprimitive_matrices_have_no_exponent(period):
     rng = rng_for(f"pf-period-{period}")
     for n in range(period, 31):
@@ -264,6 +311,7 @@ def test_product_lower_right_matches_full_product():
 # --- block transitions ------------------------------------------------------
 
 SIG = SurfaceSig(2, 0)
+SIG4 = SurfaceSig(4, 0)  # 3|chi| - 3 = 15 real, 9|chi| = 54 branches
 
 
 def _bt(entries, real, sig=SIG):
@@ -317,10 +365,25 @@ def test_cover_time_all_real_is_zero():
 
 def test_cover_time_unreachable_branch():
     bt = _bt([[0, 0], [0, 1]], [1])
-    with pytest.raises(NotBHStructureError):
+    with pytest.raises(NotBHStructureError, match=r"images of the real set: \[0\]$"):
         cover_time(bt)
     with pytest.raises(NotBHStructureError):
         full_spread_power(bt)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 5, 10, 20, 40])
+@pytest.mark.parametrize("density", [0.0, 0.05, 0.2])
+def test_cover_time_of_chains_matches_integer_powers(depth, density):
+    """On a chain of `depth` non-real branches feeding a primitive real
+    block, the cover time is the least j with every row of M^j positive in
+    a real column; with no shortcuts it is the depth itself."""
+    rng = rng_for(f"pf-cover-chain-{depth}-{density}")
+    for r in (1, 3, 6):
+        core = IntMatrix([[1]]) if r == 1 else wielandt_matrix(r)
+        bt = chain_block_transition(rng, core, depth, SIG4, density)
+        assert cover_time(bt) == brute_cover_time(bt)
+        if density == 0.0:
+            assert cover_time(bt) == depth
 
 
 def test_full_spread_power_chain():
@@ -343,9 +406,6 @@ def test_full_spread_power_postcondition():
             for b in range(bt.dim):
                 for beta in bt.real_indices:
                     assert power.entries[b][beta] > 0
-
-
-SIG4 = SurfaceSig(4, 0)  # 3|chi| - 3 = 15 real, 9|chi| = 54 branches
 
 
 @pytest.mark.parametrize("r,depth", [(12, 8), (13, 12), (14, 20)])

@@ -48,9 +48,15 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def _caller_files() -> list[Path]:
     """The code that may call a public name: the library (its `__init__`
-    only re-exports), the demos, the benchmark and the acceptance gate."""
+    only re-exports), the demos, the benchmark and the acceptance gate.
+    The benchmark's corpus builder and oracle never import `curvebounds`
+    (`test_perfbench_imports.py`), so a name they define, such as their own
+    `format_track`, is not a call of the library's."""
     library = [p for p in (ROOT / "src" / "curvebounds").glob("*.py") if p.name != "__init__.py"]
-    bench = [p for p in (ROOT / "perfbench").glob("*.py") if p.name != "test_perfbench.py"]
+    bench = [
+        p for p in (ROOT / "perfbench").glob("*.py")
+        if p.name not in ("test_perfbench.py", "corpus.py", "oracle.py")
+    ]
     demos = (ROOT / "demos").glob("*.py")
     return [*library, *demos, *bench, ROOT / "tests" / "test_acceptance.py"]
 

@@ -6,7 +6,6 @@ import math
 import pytest
 
 from curvebounds import reference
-from curvebounds.fileio import format_track
 from curvebounds.reference import (
     build_spine,
     fan_selection,
@@ -34,6 +33,7 @@ from helpers import (
     data_path,
     dissection_count,
     dissection_sizes,
+    format_track,
     noncrossing_subsets_brute,
     ribbon_cycles,
     route_dead_branches,
@@ -108,7 +108,7 @@ def test_rule_track_is_maximal_and_recurrent_by_oracles(genus):
     assert counts.total <= 9 * (2 * genus - 2)
 
 
-# SHA-256 of `fileio.format_track` over the genus 2 and 3 reference tracks:
+# SHA-256 of `helpers.format_track` over the genus 2 and 3 reference tracks:
 # the bytes of the shipped `genus{2,3}_maximal.track` files.
 REFERENCE_DIGESTS = {
     2: "e9994ce45fea826b3c35a176f318108b6c5813be66674d9a9decd7956620ae64",
@@ -204,7 +204,7 @@ def test_genus3_cut_spine_extension_count():
     assert len({frozenset((b.ends, b.tag) for b in e.branches) for e in exts}) == 495
 
 
-# SHA-256 of `fileio.format_track` over the extensions, in the order they are
+# SHA-256 of `helpers.format_track` over the extensions, in the order they are
 # returned: slot numbers, fresh dN names, branch order and family order.
 EXTENSION_DIGESTS = {
     (2, ()): "7af47ca42dcbaa8dfb0db22397944af48e4f6e504d6600c0dafb504404a194d8",

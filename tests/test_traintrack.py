@@ -219,11 +219,10 @@ def test_low_valence_rejected():
 
 def test_check_measure():
     t = barbell()
-    good = {"loopL": Fraction(1), "bar": Fraction(2), "loopR": Fraction(1)}
-    assert check_measure(t, good)
-    assert not check_measure(t, {"loopL": Fraction(1), "bar": Fraction(1), "loopR": Fraction(1)})
+    assert check_measure(t, {"loopL": 1, "bar": 2, "loopR": 1})
+    assert not check_measure(t, {"loopL": 1, "bar": 1, "loopR": 1})
     with pytest.raises(ValueError):
-        check_measure(t, {"loopL": Fraction(1)})
+        check_measure(t, {"loopL": 1})
     with pytest.raises(ValueError):
         check_measure(t, {"loopL": 1, "bar": 2, "loopR": -1})
 
@@ -235,19 +234,21 @@ def test_check_measure():
         {"loopL": 0.5, "bar": 1, "loopR": 0.5},
         {"loopL": "1", "bar": "2", "loopR": "1"},
         {"loopL": 1, "bar": "2", "loopR": 1},
+        {"loopL": Fraction(1), "bar": Fraction(2), "loopR": Fraction(1)},
+        {"loopL": 1, "bar": Fraction(2), "loopR": 1},
     ],
 )
 def test_check_measure_refuses_float_and_string_weights(weights):
-    """Weights are summed as given, never converted: a float or a string
-    that would balance as a Fraction raises."""
+    """Weights must be ints, never converted: a float, a string or a
+    Fraction raises, even one that would balance."""
     with pytest.raises(ValueError):
         check_measure(barbell(), weights)
 
 
 def test_check_measure_agrees_with_the_balance_oracle():
-    """On the int witness, on the same weights as Fractions, on a seventh
-    of them and on random int weights, `check_measure` gives the verdict of
-    `switch_balance`, whatever the weights' type."""
+    """On the int witness, on seven times it and on random int weights,
+    `check_measure` gives the verdict of `switch_balance`; the same weights
+    as Fractions raise, balanced or not."""
     rng = rng_for("track-measure")
     verdicts = Counter()
     for _ in range(3000):
@@ -256,13 +257,14 @@ def test_check_measure_agrees_with_the_balance_oracle():
         trials = [{b.name: rng.randint(0, 3) for b in t.branches}]
         if ok:
             assert_integer_witness(t, w)
-            trials += [w, {name: Fraction(v, 7) for name, v in w.items()}]
+            trials += [w, {name: 7 * v for name, v in w.items()}]
         for weights in trials:
             verdict = not any(switch_balance(t, weights).values())
-            as_fractions = {name: Fraction(v) for name, v in weights.items()}
-            assert check_measure(t, weights) == check_measure(t, as_fractions) == verdict
-            verdicts[verdict, type(next(iter(weights.values())))] += 1
-    assert verdicts[True, int] and verdicts[False, int] and verdicts[True, Fraction]
+            assert check_measure(t, weights) == verdict
+            with pytest.raises(ValueError, match="is not an int"):
+                check_measure(t, {name: Fraction(v) for name, v in weights.items()})
+            verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_recurrent_barbell():
@@ -385,7 +387,11 @@ def test_counting_measure_of_closed_route_balances():
         if not is_recurrent(t)[0]:
             continue
         route = some_closed_route(t)
-        assert check_measure(t, counting_measure(t, route))
+        weights = counting_measure(t, route)
+        assert all(type(v) is int for v in weights.values())
+        assert check_measure(t, weights)
+        with pytest.raises(ValueError):
+            check_measure(t, {name: Fraction(v) for name, v in weights.items()})
         checked += 1
     assert checked > 5
 
