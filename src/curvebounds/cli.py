@@ -4,12 +4,13 @@ Subcommands: `bounds` (closed-form bound table over a genus range),
 `penner` (trace report for one genus), `pf` (matrix file analysis) and
 `track` (track file validation).  Exit status: 0 when every verdict in the
 run passes, 1 when a verdict fails or a table row degrades to an error
-marker, 2 for unusable input.  Integer certificates, such as the `track`
-witness weights, are printed as JSON integers and exact rationals as
-"p/q"; the only float in any JSON report is the flm_upper_float64 field.
-A `--json` report is compact JSON on one line: keys sorted, no
-whitespace between tokens, and a closing newline (`python -m json.tool`
-pretty-prints one).
+marker, 2 for unusable input or a report that cannot be written (a closed
+pipe, a full disk, a closed stdout), with one `error:` line on stderr.
+Integer certificates, such as the `track` witness weights, are printed as
+JSON integers and exact rationals as "p/q"; the only float in any JSON
+report is the flm_upper_float64 field.  A `--json` report is compact JSON
+on one line: keys sorted, no whitespace between tokens, and a closing
+newline (`python -m json.tool` pretty-prints one).
 """
 
 from __future__ import annotations
@@ -133,18 +134,12 @@ def run_penner(genus: int, cap: int | None, as_json: bool) -> int:
 
 
 def run_pf(input_path: str, as_json: bool) -> int:
-    try:
-        doc = fileio.load_matrix(input_path)
-    except (fileio.MatrixFileError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    doc = fileio.load_matrix(input_path)
     m = doc.matrix
     if m.rows != m.cols:
-        print(f"error: matrix is {m.rows}x{m.cols}, analysis needs square", file=sys.stderr)
-        return 2
+        raise ValueError(f"matrix is {m.rows}x{m.cols}, analysis needs square")
     if (doc.real_set is None) != (doc.surface is None):
-        print('error: "real:" and "surface:" lines must appear together', file=sys.stderr)
-        return 2
+        raise ValueError('"real:" and "surface:" lines must appear together')
     try:
         q = pfmatrix.min_positive_diagonal_power(m)
     except pfmatrix.NotIrreducibleError:
@@ -167,12 +162,8 @@ def run_pf(input_path: str, as_json: bool) -> int:
     ]
     exit_code = 0
     if doc.real_set is not None:
-        try:
-            bt = pfmatrix.BlockTransition(m, doc.real_set, doc.surface)
-            k = pfmatrix.full_spread_power(bt)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        bt = pfmatrix.BlockTransition(m, doc.real_set, doc.surface)
+        k = pfmatrix.full_spread_power(bt)
         rq = bt.q
         i = k - 2 * bt.r * rq  # the cover time, as k = 2rq + i
         chi = doc.surface.chi
@@ -203,11 +194,7 @@ def run_pf(input_path: str, as_json: bool) -> int:
 
 
 def run_track(input_path: str, as_json: bool) -> int:
-    try:
-        doc = fileio.load_track(input_path)
-    except (fileio.TrackFileError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    doc = fileio.load_track(input_path)
     payload: dict = {}
     lines: list[str] = []
     checks: dict[str, bool] = {}
@@ -348,6 +335,11 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # The one place where a failure becomes exit status 2: the library's
+    # input checks raise ValueError, and a failed report write OSError.
+    if sys.stdout is None:  # started with fd 1 closed
+        print("error: cannot write the report: stdout is closed", file=sys.stderr)
+        return 2
     # Switch and branch names come from the input file and need not encode
     # on stdout (PYTHONIOENCODING=ascii, a latin-1 locale): escape them, so
     # the report completes and the exit code stays the verdict's.
@@ -356,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         code = _run(parser, parser.parse_args(argv))
-        sys.stdout.flush()  # a reader that has gone shows here at the latest
+        sys.stdout.flush()  # a failed write shows here at the latest
         return code
     except MemoryError:
         # Each report computes its verdict before its first write, so stdout
@@ -368,11 +360,14 @@ def main(argv: list[str] | None = None) -> int:
         # as 10**30; stdout is still empty for the same reason.
         print("error: input too large to compute with", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # The reader closed stdout.  Point fd 1 at devnull so that the flush
-        # at interpreter exit cannot fail again.
+    except ValueError as exc:  # each input check runs before the first write
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # A closed pipe, a full disk, an I/O error.  Point fd 1 at devnull
+        # so that the flush at interpreter exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: stdout was closed before the report was complete", file=sys.stderr)
+        print(f"error: cannot write the report: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

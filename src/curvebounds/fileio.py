@@ -88,6 +88,8 @@ def _read_utf8(path, error: type[ValueError]) -> str:
         return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise error(f"byte {exc.start}: file is not UTF-8 text") from None
+    except OSError as exc:  # missing, a directory, not readable
+        raise error(str(exc)) from None
 
 
 def _data_lines(text: str):
@@ -167,6 +169,7 @@ def parse_matrix_text(text: str) -> MatrixDocument:
 
 
 def load_matrix(path) -> MatrixDocument:
+    """Parse the matrix file at `path`; an unreadable one raises MatrixFileError."""
     return parse_matrix_text(_read_utf8(path, MatrixFileError))
 
 
@@ -270,6 +273,7 @@ def parse_track_text(text: str) -> TrackDocument:
 
 
 def load_track(path) -> TrackDocument:
+    """Parse the track file at `path`; an unreadable one raises TrackFileError."""
     return parse_track_text(_read_utf8(path, TrackFileError))
 
 

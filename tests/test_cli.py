@@ -869,3 +869,46 @@ def test_stdout_without_reader_exits_2_with_one_line(args, unbuffered):
         os.close(write_end)
         _, err = proc.communicate(timeout=60)
     _assert_one_error_line(proc, err)
+
+
+def _small_report_args(name: str, tmp_path: Path) -> list[str]:
+    """A small report of each subcommand, which exits 0 or 1 when stdout
+    can be written."""
+    matrix = tmp_path / "chain.matrix"
+    matrix.write_text(CHAIN_MATRIX)
+    return {
+        "bounds": ["bounds", "--genus-min", "2", "--genus-max", "4"],
+        "penner": ["penner", "--genus", "5"],
+        "penner-json": ["penner", "--genus", "5", "--json"],
+        "pf": ["pf", "--input", str(matrix)],
+        "track": ["track", "--input", str(data_path("genus2_maximal.track"))],
+    }[name]
+
+
+SMALL_REPORTS = ["bounds", "penner", "penner-json", "pf", "track"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("name", SMALL_REPORTS)
+def test_full_disk_exits_2_with_one_line(tmp_path, name, unbuffered):
+    """Every write to /dev/full fails with ENOSPC: at the last flush when
+    block-buffered, at the first write when unbuffered."""
+    args = _small_report_args(name, tmp_path)
+    with open("/dev/full", "wb") as full, _cli_subprocess(
+        args, unbuffered, stdout=full, stderr=subprocess.PIPE
+    ) as proc:
+        _, err = proc.communicate(timeout=60)
+    _assert_one_error_line(proc, err)
+    assert err == b"error: cannot write the report: No space left on device\n"
+
+
+@pytest.mark.parametrize("name", SMALL_REPORTS)
+def test_closed_stdout_fd_exits_2_with_one_line(tmp_path, name):
+    """Started with fd 1 closed (`>&-` in a shell), so `sys.stdout` is None;
+    the run is refused before its arguments are read."""
+    args = _small_report_args(name, tmp_path)
+    with _cli_subprocess(args, stderr=subprocess.PIPE, preexec_fn=partial(os.close, 1)) as proc:
+        _, err = proc.communicate(timeout=60)
+    _assert_one_error_line(proc, err)
+    assert err == b"error: cannot write the report: stdout is closed\n"

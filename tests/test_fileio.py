@@ -223,6 +223,19 @@ def test_non_utf8_files_are_format_errors(tmp_path):
         load_track(p)
 
 
+@pytest.mark.parametrize("load, error", [(load_matrix, MatrixFileError), (load_track, TrackFileError)])
+def test_unreadable_files_are_format_errors(tmp_path, load, error):
+    """A file that cannot be opened is the format's error, with the
+    operating system's message, and so a ValueError like any other."""
+    absent = tmp_path / "absent"
+    with pytest.raises(error) as info:
+        load(absent)
+    assert str(info.value) == f"[Errno 2] No such file or directory: {str(absent)!r}"
+    assert info.value.__cause__ is None and info.value.__suppress_context__
+    with pytest.raises(error, match=r"^\[Errno 21\] Is a directory: "):
+        load(tmp_path)
+
+
 # Characters str.splitlines treats as line ends that a file format must not:
 # \v, \f, \x1c-\x1e, \x85, U+2028 and U+2029.
 LINE_LIKE = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")

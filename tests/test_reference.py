@@ -132,6 +132,22 @@ def test_reference_track_unsupported_genus():
                 build(genus)
 
 
+@pytest.mark.parametrize(
+    "genus, corners, message",
+    [
+        (2, (0,) * 5, "need 6 corner choices, got 5"),
+        (2, (0,) * 7, "need 6 corner choices, got 7"),
+        (3, (0,) * 9, "need 10 corner choices, got 9"),
+        (2, (0, 0, 3, 0, 0, 0), "corner choice 3 at triangle 2"),
+        (2, (-1, 0, 0, 0, 0, 0), "corner choice -1 at triangle 0"),
+    ],
+)
+def test_build_spine_refuses_bad_corners(genus, corners, message):
+    with pytest.raises(ValueError) as info:
+        build_spine(genus, corners)
+    assert str(info.value) == message
+
+
 def test_reference_track_refuses_a_dead_branch(monkeypatch):
     """The all-zero corner pattern leaves branches off every route."""
     spine = build_spine(2, (0,) * 6)

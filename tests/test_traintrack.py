@@ -127,6 +127,17 @@ def test_side_index_matches_slot_data():
             assert ends == tuple(expected[v][slot] for slot in sorted(expected[v]))
 
 
+def test_duplicate_switch_names_rejected():
+    with pytest.raises(TrackStructureError, match="^duplicate switch names$"):
+        TrainTrack(("L", "L"), (Branch("x", (end("L", 0, 0), end("L", 1, 0))),))
+
+
+def test_track_is_not_equal_to_other_types():
+    assert (barbell() == object()) is False
+    assert barbell() != "barbell"
+    assert barbell() == barbell()
+
+
 def test_duplicate_branch_names_rejected():
     with pytest.raises(TrackStructureError):
         TrainTrack(
@@ -539,8 +550,11 @@ def test_noncrossing_subsets_match_brute_force():
 
 
 def test_extensions_need_large_track():
-    att = RegionAttachment(SurfaceSig(2, 0), ((0, 0), (1, 0), (0, 0)))
-    with pytest.raises(TrackStructureError):
+    """The barbell's attachment as `classify_regions` accepts it (two
+    one-holed tori and a monogon), so the check that fails is largeness."""
+    att = RegionAttachment(SurfaceSig(2, 0), ((1, 0), (1, 0), (0, 0)))
+    assert not classify_regions(barbell(), att).is_large
+    with pytest.raises(TrackStructureError, match="^diagonal extensions need a large track$"):
         enumerate_diagonal_extensions(barbell(), att)
 
 
