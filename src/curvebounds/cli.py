@@ -4,8 +4,9 @@ Subcommands: `bounds` (closed-form bound table over a genus range),
 `penner` (trace report for one genus), `pf` (matrix file analysis) and
 `track` (track file validation).  Exit status: 0 when every verdict in the
 run passes, 1 when a verdict fails or a table row degrades to an error
-marker, 2 for unusable input or a report that cannot be written (a closed
-pipe, a full disk, a closed stdout), with one `error:` line on stderr.
+marker, 2 for a usage error, unusable input or a report that cannot be
+written (a closed pipe, a full disk, a closed stdout), with one `error:`
+line on stderr: never on stdout, and status 2 even if stderr is unusable.
 Integer certificates, such as the `track` witness weights, are printed as
 JSON integers and exact rationals as "p/q"; the only float in any JSON
 report is the flm_upper_float64 field.  A `--json` report is compact JSON
@@ -284,8 +285,13 @@ def run_track(input_path: str, as_json: bool) -> int:
 # --- entry point ------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error is unusable input
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="curvebounds",
         description="Exact bounds and certificates for curve-graph translation lengths.",
     )
@@ -312,22 +318,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _run(args: argparse.Namespace) -> int:
     if args.command == "bounds":
         if args.genus_min > args.genus_max:
-            parser.error("empty genus range")
+            raise ValueError("empty genus range")
         if args.punctures < 0:
-            parser.error("punctures must be nonnegative")
+            raise ValueError("punctures must be nonnegative")
         if args.punctures == 0 and args.genus_min < 2:
-            parser.error("closed-surface table needs genus >= 2")
+            raise ValueError("closed-surface table needs genus >= 2")
         if args.punctures > 0 and args.genus_min < 0:
-            parser.error("genus must be nonnegative")
+            raise ValueError("genus must be nonnegative")
         return run_bounds(args.genus_min, args.genus_max, args.punctures, args.json)
-    if args.command == "penner":
-        if args.genus < 2:
-            parser.error("penner trace needs genus >= 2")
-        if args.cap is not None and args.cap < 1:
-            parser.error("cap must be at least 1")
+    if args.command == "penner":  # `trace` checks the genus and the cap
         return run_penner(args.genus, args.cap, args.json)
     if args.command == "pf":
         return run_pf(args.input, args.json)
@@ -335,40 +337,38 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # The one place where a failure becomes exit status 2: the library's
-    # input checks raise ValueError, and a failed report write OSError.
-    if sys.stdout is None:  # started with fd 1 closed
-        print("error: cannot write the report: stdout is closed", file=sys.stderr)
-        return 2
-    # Switch and branch names come from the input file and need not encode
-    # on stdout (PYTHONIOENCODING=ascii, a latin-1 locale): escape them, so
-    # the report completes and the exit code stays the verdict's.
-    if isinstance(sys.stdout, io.TextIOWrapper):
-        sys.stdout.reconfigure(errors="backslashreplace")
-    parser = _build_parser()
+    # The one site of exit status 2; each handler below only picks the text.
     try:
-        code = _run(parser, parser.parse_args(argv))
+        if sys.stdout is None:  # started with fd 1 closed
+            raise OSError("stdout is closed")
+        # Names from an input file need not encode on stdout (a latin-1 or
+        # ascii locale): escape them, so the report ends with the verdict's code.
+        if isinstance(sys.stdout, io.TextIOWrapper):
+            sys.stdout.reconfigure(errors="backslashreplace")
+        code = _run(_build_parser().parse_args(argv))
         sys.stdout.flush()  # a failed write shows here at the latest
         return code
-    except MemoryError:
-        # Each report computes its verdict before its first write, so stdout
-        # is still empty.
-        print("error: input too large for available memory", file=sys.stderr)
-        return 2
-    except OverflowError:
-        # A genus past the range of Python's int shifts or of a float, such
-        # as 10**30; stdout is still empty for the same reason.
-        print("error: input too large to compute with", file=sys.stderr)
-        return 2
+    except MemoryError:  # each verdict comes before its report's first write
+        message = "input too large for available memory"
+    except OverflowError:  # a genus such as 10**30, past int shifts or floats
+        message = "input too large to compute with"
     except ValueError as exc:  # each input check runs before the first write
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
     except OSError as exc:
-        # A closed pipe, a full disk, an I/O error.  Point fd 1 at devnull
-        # so that the flush at interpreter exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write the report: {exc.strerror or exc}", file=sys.stderr)
-        return 2
+        # A closed pipe, a full disk, an I/O error.  If stdout has a fd, point
+        # it at devnull, so that the flush at exit cannot fail again.
+        message = f"cannot write the report: {exc.strerror or exc}"
+        try:
+            fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        except (AttributeError, OSError):  # None, a stream with no fd, no devnull
+            pass
+    try:  # never to stdout; a line stderr cannot take is dropped
+        sys.stderr.write(f"error: {message}\n")
+    except (AttributeError, OSError):  # None, or fd 2 closed
+        pass
+    return 2
 
 
 if __name__ == "__main__":

@@ -60,15 +60,6 @@ def k_star(genus: int) -> int:
     return (genus - 1) + ((genus - 1) // 2) * (genus + 1)
 
 
-def _rotate(x: int, g: int, j: int) -> int:
-    """`x` with each family's g-bit row rotated j <= g places toward bit 0:
-    the curve of index i moves to index i - j (mod g)."""
-    lows = 1 | 1 << g | 1 << 2 * g
-    lo = (lows << j) - lows  # the j lowest bits of each row
-    x_lo = x & lo
-    return (x ^ x_lo) >> j | x_lo << (g - j)
-
-
 def _closed(x: int, g: int) -> int:
     """The closed neighbourhood N[x] of a support mask: its curves and every
     curve meeting one of them, under  a_j-b_j,  c_j-b_j,  c_j-b_{j-1}."""
@@ -218,11 +209,12 @@ def trace(genus: int, cap: int | None = None) -> TraceResult:
     # The twist curves a_1, b_1, c_1 in twist order, each as (the curves it
     # meets, itself, its closed neighbourhood), all rotated once: an event's
     # rotation maps S and N[S] bit for bit, so the loop rotates first and
-    # twists in the rotated frame.
+    # twists in the rotated frame.  One rotation takes index 1 to index g,
+    # and N commutes with it, so these are the index-g curves' masks.
     twists = []
-    for c in (0, g, g2):
+    for c in (g - 1, g2 - 1, 3 * g - 1):
         near_c = _closed(1 << c, g)
-        twists.append(tuple(_rotate(x, g, 1) for x in (near_c & ~(1 << c), 1 << c, near_c)))
+        twists.append((near_c & ~(1 << c), 1 << c, near_c))
 
     # A step is a pure rotation unless some twist curve lies in N[S] but not
     # in S.  N commutes with the rotation, so bit i of a family's row of
@@ -247,8 +239,8 @@ def trace(genus: int, cap: int | None = None) -> TraceResult:
         if k > cap:
             k = cap
             break
-        # _rotate(x, g, j) for S and N[S], written out.
-        lo = (lows << j) - lows
+        # Rotate S and N[S] j places: the curve of index i moves to i - j.
+        lo = (lows << j) - lows  # the j lowest bits of each row
         s_lo, near_lo = s & lo, near & lo
         s = (s ^ s_lo) >> j | s_lo << (g - j)
         near = (near ^ near_lo) >> j | near_lo << (g - j)

@@ -45,11 +45,10 @@ _FLM_NUMERATOR = 4.0 * math.log(2.0 + math.sqrt(3.0))
 def translation_length_lower_bound(sig: SurfaceSig) -> Fraction:
     """Universal lower bound 1/(c chi^2 + 6|chi|) for the stable translation
     length of any pseudo-Anosov map on `sig`, as an exact rational, with c
-    from `lower_bound_coefficient`.
+    from `lower_bound_coefficient`: the spread-time bound at k = c chi^2.
     """
-    sig.require_non_sporadic()
     chi = sig.chi
-    return Fraction(1, lower_bound_coefficient(sig) * chi * chi + cusp_bound(sig))
+    return lower_bound_from_spread_time(sig, lower_bound_coefficient(sig) * chi * chi)
 
 
 def translation_length_upper_bound(genus: int) -> Fraction:

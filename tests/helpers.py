@@ -659,6 +659,16 @@ def rotate(system: PennerSystem, support: frozenset) -> frozenset:
     )
 
 
+def rotate_mask(x: int, g: int, j: int) -> int:
+    """A support bitmask (bit f*g + i - 1 for family f, index i) with each
+    family's g-bit row rotated j <= g places toward bit 0: the curve of
+    index i moves to index i - j (mod g)."""
+    lows = 1 | 1 << g | 1 << 2 * g
+    lo = (lows << j) - lows  # the j lowest bits of each row
+    x_lo = x & lo
+    return (x ^ x_lo) >> j | x_lo << (g - j)
+
+
 def step(system: PennerSystem, support: frozenset) -> frozenset:
     """One iterate: twists along a_1, then b_1, then c_1, then the rotation."""
     s = twist_support(system, support, BaseCurve("a", 1))

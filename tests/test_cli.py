@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -131,15 +132,17 @@ def test_bounds_sporadic_row_marker(capsys):
     assert payload["rows"] == [{"genus": 1, "punctures": 0, "error": "sporadic"}]
 
 
-def test_bounds_parser_rejections():
-    for argv in (
-        ["bounds", "--genus-min", "3", "--genus-max", "2"],
-        ["bounds", "--genus-min", "1", "--genus-max", "3"],
-        ["bounds", "--genus-min", "2", "--genus-max", "3", "--punctures", "-1"],
+def test_bounds_parser_rejections(capsys):
+    for argv, message in (
+        (["bounds", "--genus-min", "3", "--genus-max", "2"], "empty genus range"),
+        (["bounds", "--genus-min", "1", "--genus-max", "3"],
+         "closed-surface table needs genus >= 2"),
+        (["bounds", "--genus-min", "2", "--genus-max", "3", "--punctures", "-1"],
+         "punctures must be nonnegative"),
+        (["bounds", "--genus-min", "2"], "the following arguments are required: --genus-max"),
     ):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
 
 
 # --- penner -----------------------------------------------------------------
@@ -176,14 +179,24 @@ def test_penner_low_cap_fails_verdict(capsys):
     assert "FAIL" in out
 
 
-def test_penner_parser_rejections():
-    for argv in (
-        ["penner", "--genus", "1"],
-        ["penner", "--genus", "2", "--cap", "0"],
+def test_penner_parser_rejections(capsys):
+    """The genus and cap checks are `trace`'s own; a usage error is
+    argparse's message, with no usage line."""
+    for argv, message in (
+        (["penner", "--genus", "1"], "chain system needs genus >= 2, got 1"),
+        (["penner", "--genus", "2", "--cap", "0"], "cap must be >= 1, got 0"),
+        (["penner", "--genus", "x3"], "argument --genus: invalid int value: 'x3'"),
     ):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["penner", "-h"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: curvebounds penner") and err == ""
 
 
 @pytest.mark.parametrize("genus", range(2, 31))
@@ -746,7 +759,7 @@ def test_subcommand_runs_only_its_engine(tmp_path, args, code, executed):
     if code == 0:
         assert result.stderr == b""
     else:
-        assert result.stderr.decode().startswith("usage: curvebounds")
+        assert result.stderr == b"error: the following arguments are required: --genus\n"
     probe = json.loads(report.read_text())
     assert set(probe["executed"]) == executed
     assert not probe["numpy"]
@@ -912,3 +925,44 @@ def test_closed_stdout_fd_exits_2_with_one_line(tmp_path, name):
         _, err = proc.communicate(timeout=60)
     _assert_one_error_line(proc, err)
     assert err == b"error: cannot write the report: stdout is closed\n"
+
+
+def test_stderr_closed_after_start_exits_2(tmp_path):
+    """fd 2 closed once the run has started: the `error:` line cannot be
+    written and is dropped, and the status is still 2 with stdout empty."""
+    missing = str(tmp_path / "missing.matrix")
+    code = (
+        "import os, sys\n"
+        "from curvebounds.cli import main\n"
+        "os.close(2)\n"
+        f"sys.exit(main(['pf', '--input', {missing!r}]))\n"
+    )
+    src = Path(curvebounds.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (2, b"")
+
+
+def test_started_with_stderr_closed_exits_2(tmp_path):
+    """Started with fd 2 closed (`2>&-`), so `sys.stderr` is None: the
+    `error:` line never goes to stdout, where a --json reader is."""
+    args = ["pf", "--input", str(tmp_path / "missing.matrix"), "--json"]
+    with _cli_subprocess(args, stdout=subprocess.PIPE, preexec_fn=partial(os.close, 2)) as proc:
+        out, _ = proc.communicate(timeout=60)
+    assert (proc.returncode, out) == (2, b"")
+
+
+def test_failed_write_to_redirected_stdout_returns_2(capsys):
+    """A library caller's stdout with no file descriptor whose write fails:
+    `main` returns 2 with one `error:` line and raises nothing."""
+
+    class FullStream(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    with contextlib.redirect_stdout(FullStream()):
+        code = main(["bounds", "--genus-min", "2", "--genus-max", "3"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: cannot write the report: No space left on device\n"

@@ -8,7 +8,6 @@ from curvebounds import penner
 from curvebounds.penner import (
     BaseCurve,
     _closed,
-    _rotate,
     k_star,
     penner_upper_bound,
     trace,
@@ -25,6 +24,7 @@ from helpers import (
     penner_matrix,
     rng_for,
     rotate,
+    rotate_mask,
     step,
     step_trace,
     twist_support,
@@ -105,7 +105,7 @@ def test_rotate():
 
 
 def test_rotation_and_orbit_words():
-    """`_rotate(x, g, j)` is j index rotations of the set model."""
+    """`rotate_mask(x, g, j)` is j index rotations of the set model."""
     rng = rng_for("penner-orbit")
     for g in range(2, 10):
         system = PennerSystem(g)
@@ -114,7 +114,7 @@ def test_rotation_and_orbit_words():
             support = frozenset(c for c in system.curves() if rng.random() < 0.4)
             x = sum(1 << cids[c] for c in support)
             for j in range(g):
-                assert _rotate(x, g, j) == sum(1 << cids[c] for c in support), (g, j)
+                assert rotate_mask(x, g, j) == sum(1 << cids[c] for c in support), (g, j)
                 support = rotate(system, support)
 
 
@@ -131,7 +131,7 @@ def test_closed_neighbourhood():
             x = sum(1 << cids[c] for c in support)
             assert _closed(x, g) == sum(1 << cids[c] for c in near), (g, support)
             for j in range(g):
-                assert _closed(_rotate(x, g, j), g) == _rotate(_closed(x, g), g, j), (g, j)
+                assert _closed(rotate_mask(x, g, j), g) == rotate_mask(_closed(x, g), g, j), (g, j)
 
 
 def test_step_by_hand_genus2():
@@ -204,7 +204,9 @@ def test_trace_matches_set_implementation():
 def _events(masks, genus):
     """`events` for the supports `masks`: S_0 and then (k, S_k) for exactly
     the steps k whose support is not the rotation of the one before."""
-    changed = [(k, m) for k, m in enumerate(masks) if k and m != _rotate(masks[k - 1], genus, 1)]
+    changed = [
+        (k, m) for k, m in enumerate(masks) if k and m != rotate_mask(masks[k - 1], genus, 1)
+    ]
     return ((0, masks[0]), *changed)
 
 
