@@ -22,7 +22,6 @@ def _lazy(name: str):
 
 
 # `cli` is not registered: `python -m curvebounds.cli` runs it as __main__.
-_signature = _lazy("_signature")
 surfaces = _lazy("surfaces")
 pfmatrix = _lazy("pfmatrix")
 penner = _lazy("penner")

@@ -4,9 +4,10 @@ Subcommands: `bounds` (closed-form bound table over a genus range),
 `penner` (trace report for one genus), `pf` (matrix file analysis) and
 `track` (track file validation).  Exit status: 0 when every verdict in the
 run passes, 1 when a verdict fails or a table row degrades to an error
-marker, 2 for a usage error, unusable input or a report that cannot be
-written (a closed pipe, a full disk, a closed stdout), with one `error:`
-line on stderr: never on stdout, and status 2 even if stderr is unusable.
+marker, 2 for a usage error, unusable input or a report (the `-h` help
+too) that cannot be written (a closed pipe, a full disk, a closed
+stdout), with one `error:` line on stderr: never on stdout, and status 2
+even if stderr is unusable.
 Integer certificates, such as the `track` witness weights, are printed as
 JSON integers and exact rationals as "p/q"; the only float in any JSON
 report is the flm_upper_float64 field.  A `--json` report is compact JSON
@@ -23,7 +24,7 @@ import sys
 
 # Modules, not names: the package loads each one at its first attribute
 # lookup, so a subcommand runs only the engines it calls.
-from . import _signature, fileio, penner, pfmatrix, surfaces, traintrack
+from . import fileio, penner, pfmatrix, surfaces, traintrack
 
 __all__ = ["main", "run_bounds", "run_penner", "run_pf", "run_track"]
 
@@ -168,7 +169,7 @@ def run_pf(input_path: str, as_json: bool) -> int:
         rq = bt.q
         i = k - 2 * bt.r * rq  # the cover time, as k = 2rq + i
         chi = doc.surface.chi
-        coeff = _signature.lower_bound_coefficient(doc.surface)
+        coeff = surfaces.lower_bound_coefficient(doc.surface)
         k_bound = coeff * chi * chi
         ok = k < k_bound
         payload["block"] = {
@@ -269,7 +270,7 @@ def run_track(input_path: str, as_json: bool) -> int:
         + ("PASS" if counts.real_ok else "FAIL")
     )
 
-    cusps, bound = traintrack.total_cusps(track), _signature.cusp_bound(sig)
+    cusps, bound = traintrack.total_cusps(track), surfaces.cusp_bound(sig)
     checks["cusp_count"] = cusps <= bound
     payload["cusps"] = {"total": cusps, "bound": bound}
     lines.append(
@@ -288,6 +289,10 @@ def run_track(input_path: str, as_json: bool) -> int:
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # a usage error is unusable input
         raise ValueError(message)
+
+    def _print_message(self, message: str, file=None) -> None:
+        file.write(message)  # argparse would drop a failed write; `main` reports it
+        file.flush()
 
 
 def _build_parser() -> argparse.ArgumentParser:

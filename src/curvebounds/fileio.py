@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 # Modules, not names: a matrix file never loads `traintrack`, nor a track
 # file `pfmatrix`.
-from . import _signature, pfmatrix, traintrack
+from . import pfmatrix, surfaces, traintrack
 
 __all__ = [
     "MatrixFileError",
@@ -112,7 +112,7 @@ def _fields(line: str) -> list[str]:
 class MatrixDocument(NamedTuple):
     matrix: pfmatrix.IntMatrix
     real_set: frozenset | None
-    surface: _signature.SurfaceSig | None
+    surface: surfaces.SurfaceSig | None
 
 
 def parse_matrix_text(text: str) -> MatrixDocument:
@@ -162,7 +162,7 @@ def parse_matrix_text(text: str) -> MatrixDocument:
             if len(items) != 2 or not all(_is_uint(i) for i in items):
                 raise MatrixFileError(f'line {lineno}: "surface:" needs "g n"')
             sig = _surface_ints(items, lineno, MatrixFileError)
-            surface = _signature.SurfaceSig(*sig)
+            surface = surfaces.SurfaceSig(*sig)
         else:
             raise MatrixFileError(f"line {lineno}: unexpected trailing line {line!r}")
     return MatrixDocument(pfmatrix.IntMatrix(entries), real_set, surface)
@@ -177,7 +177,7 @@ def load_matrix(path) -> MatrixDocument:
 
 
 class TrackDocument(NamedTuple):
-    surface: _signature.SurfaceSig
+    surface: surfaces.SurfaceSig
     switches: tuple[str, ...]
     branches: tuple[traintrack.Branch, ...]
     attach: tuple[tuple[int, int], ...]
@@ -226,7 +226,7 @@ def parse_track_text(text: str) -> TrackDocument:
             if len(parts) != 3 or not _is_uint(parts[1]) or not _is_uint(parts[2]):
                 raise TrackFileError(f'line {lineno}: expected "surface g n"')
             sig = _surface_ints(parts[1:], lineno, TrackFileError)
-            surface = _signature.SurfaceSig(*sig)
+            surface = surfaces.SurfaceSig(*sig)
         elif head == "switches":
             section = "switches"
             switches.extend(_name(p, lineno) for p in parts[1:])

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from ._digraph import components, image, layers
-from ._signature import SurfaceSig, branch_bound, real_branch_bound
+from .surfaces import SurfaceSig, branch_bound, real_branch_bound
 
 __all__ = [
     "IntMatrix",

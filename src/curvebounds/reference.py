@@ -18,7 +18,7 @@ reference_track() checks is_recurrent and names the first dead branch.
 
 from __future__ import annotations
 
-from ._signature import SurfaceSig
+from .surfaces import SurfaceSig
 from .traintrack import (
     Branch,
     BranchEnd,

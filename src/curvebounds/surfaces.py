@@ -1,26 +1,18 @@
-"""Closed-form translation-length bounds and their "p/q" strings.
+"""Surface signatures and their bounds.
 
-Every bound here is an exact `fractions.Fraction` except the logarithmic
-comparison bound, which is a 64-bit float by nature.  `SurfaceSig` and the
-integer structural bounds live in `_signature`, which loads no `fractions`,
-and are re-exported here.
+`SurfaceSig` names a surface S_{g,n}.  Its structural bounds (branches,
+real branches, cusps and the spread-time coefficient) are ints, and every
+translation-length bound is an exact `fractions.Fraction` except the
+logarithmic comparison bound, which is a 64-bit float by nature.
+`fractions` is imported only inside the functions that build a `Fraction`,
+so the `pf` and `track` engines, which need only the ints, never load it
+(nor `decimal` and `numbers`, which it pulls in).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from numbers import Rational
 from typing import NamedTuple
-
-from ._signature import (
-    SporadicSurfaceError,
-    SurfaceSig,
-    branch_bound,
-    cusp_bound,
-    lower_bound_coefficient,
-    real_branch_bound,
-)
 
 __all__ = [
     "SporadicSurfaceError",
@@ -42,6 +34,72 @@ __all__ = [
 _FLM_NUMERATOR = 4.0 * math.log(2.0 + math.sqrt(3.0))
 
 
+class SporadicSurfaceError(ValueError):
+    """Surface has complexity 3g - 3 + n < 2; the bounds do not apply."""
+
+
+class SurfaceSig:
+    """Orientable surface of genus `genus` with `punctures` punctures."""
+
+    __slots__ = ("genus", "punctures")
+
+    def __init__(self, genus: int, punctures: int = 0):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "punctures", punctures)
+        if genus < 0 or punctures < 0:
+            raise ValueError(f"negative signature: {self}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SurfaceSig is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SurfaceSig):
+            return NotImplemented
+        return (self.genus, self.punctures) == (other.genus, other.punctures)
+
+    def __hash__(self) -> int:
+        return hash((self.genus, self.punctures))
+
+    def __repr__(self) -> str:
+        return f"SurfaceSig(genus={self.genus!r}, punctures={self.punctures!r})"
+
+    @property
+    def chi(self) -> int:
+        return 2 - 2 * self.genus - self.punctures
+
+    @property
+    def xi(self) -> int:
+        """Complexity 3g - 3 + n (number of curves in a pants decomposition)."""
+        return 3 * self.genus - 3 + self.punctures
+
+    def require_non_sporadic(self) -> None:
+        if self.xi < 2:
+            raise SporadicSurfaceError(
+                f"sporadic surface (3g-3+n = {self.xi} < 2): {self}"
+            )
+
+
+def lower_bound_coefficient(sig: SurfaceSig) -> int:
+    """Coefficient c of the spread-time bound c chi^2: 162 for closed
+    surfaces, 18 for punctured ones."""
+    return 162 if sig.punctures == 0 else 18
+
+
+def branch_bound(sig: SurfaceSig) -> int:
+    """Structural bound 9|chi| - 3n on the branches of a track on `sig`."""
+    return 9 * abs(sig.chi) - 3 * sig.punctures
+
+
+def real_branch_bound(sig: SurfaceSig) -> int:
+    """Structural bound 3|chi| - 3 on the real branches of a track on `sig`."""
+    return 3 * abs(sig.chi) - 3
+
+
+def cusp_bound(sig: SurfaceSig) -> int:
+    """Structural bound 6|chi| on the cusps (and fold times) of a track."""
+    return 6 * abs(sig.chi)
+
+
 def translation_length_lower_bound(sig: SurfaceSig) -> Fraction:
     """Universal lower bound 1/(c chi^2 + 6|chi|) for the stable translation
     length of any pseudo-Anosov map on `sig`, as an exact rational, with c
@@ -53,6 +111,8 @@ def translation_length_lower_bound(sig: SurfaceSig) -> Fraction:
 
 def translation_length_upper_bound(genus: int) -> Fraction:
     """Upper bound 4/(g^2 + g - 4) realized on the closed genus-g surface."""
+    from fractions import Fraction
+
     if genus < 2:
         raise ValueError(f"closed-surface upper bound needs genus >= 2, got {genus}")
     return Fraction(4, genus * genus + genus - 4)
@@ -67,6 +127,8 @@ def flm_upper_bound(genus: int) -> float:
 
 def punctured_genus2_upper_bound(punctures: int) -> Fraction:
     """Upper bound 20/(n-4) for the genus-2 surface with n >= 5 punctures."""
+    from fractions import Fraction
+
     if punctures < 5:
         raise ValueError(
             f"genus-2 punctured bound needs n >= 5, got {punctures}"
@@ -76,6 +138,8 @@ def punctured_genus2_upper_bound(punctures: int) -> Fraction:
 
 def lower_bound_from_spread_time(sig: SurfaceSig, k: int) -> Fraction:
     """Lower bound 1/(6|chi| + k) from a spread time of k iterates."""
+    from fractions import Fraction
+
     sig.require_non_sporadic()
     if k < 1:
         raise ValueError(f"spread time must be >= 1, got {k}")

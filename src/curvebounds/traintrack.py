@@ -22,7 +22,7 @@ from collections import Counter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ._digraph import components
-from ._signature import SurfaceSig, branch_bound, cusp_bound, real_branch_bound
+from .surfaces import SurfaceSig, branch_bound, cusp_bound, real_branch_bound
 
 __all__ = [
     "TAGS",
@@ -358,10 +358,6 @@ class RegionReport(NamedTuple):
     regions: tuple[RegionInfo, ...]
     is_large: bool
     is_maximal: bool
-
-    @property
-    def total_cusps(self) -> int:
-        return sum(r.cusp_count for r in self.regions)
 
 
 def classify_regions(track: TrainTrack, attachment: RegionAttachment) -> RegionReport:

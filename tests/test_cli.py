@@ -729,12 +729,11 @@ finally:
 @pytest.mark.parametrize(
     "args, code, executed",
     [
-        (["bounds", "--genus-min", "2", "--genus-max", "6"], 0,
-         {"surfaces", "_signature", "penner"}),
-        (["penner", "--genus", "4", "--json"], 0, {"surfaces", "_signature", "penner"}),
-        (["pf", "--input", "{matrix}"], 0, {"_signature", "pfmatrix", "fileio", "_digraph"}),
+        (["bounds", "--genus-min", "2", "--genus-max", "6"], 0, {"surfaces", "penner"}),
+        (["penner", "--genus", "4", "--json"], 0, {"surfaces", "penner"}),
+        (["pf", "--input", "{matrix}"], 0, {"surfaces", "pfmatrix", "fileio", "_digraph"}),
         (["track", "--input", "{track}"], 0,
-         {"_signature", "traintrack", "fileio", "_digraph"}),
+         {"surfaces", "traintrack", "fileio", "_digraph"}),
         (["penner"], 2, set()),
     ],
     ids=["bounds", "penner", "pf", "track", "usage-error"],
@@ -925,6 +924,34 @@ def test_closed_stdout_fd_exits_2_with_one_line(tmp_path, name):
         _, err = proc.communicate(timeout=60)
     _assert_one_error_line(proc, err)
     assert err == b"error: cannot write the report: stdout is closed\n"
+
+
+HELP_ARGS = [["-h"], ["bounds", "-h"]]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("args", HELP_ARGS, ids=["top", "bounds"])
+def test_help_to_full_disk_exits_2(args):
+    """A help text that cannot be written is a report that cannot be
+    written: status 2 with one `error:` line, not 0 with the help lost."""
+    with open("/dev/full", "wb") as full, _cli_subprocess(
+        args, stdout=full, stderr=subprocess.PIPE
+    ) as proc:
+        _, err = proc.communicate(timeout=60)
+    _assert_one_error_line(proc, err)
+    assert err == b"error: cannot write the report: No space left on device\n"
+
+
+@pytest.mark.parametrize("args", HELP_ARGS, ids=["top", "bounds"])
+def test_help_without_reader_exits_2(args):
+    """The help to a pipe whose reader closed before the run started."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with _cli_subprocess(args, stdout=write_end, stderr=subprocess.PIPE) as proc:
+        os.close(write_end)
+        _, err = proc.communicate(timeout=60)
+    _assert_one_error_line(proc, err)
+    assert err == b"error: cannot write the report: Broken pipe\n"
 
 
 def test_stderr_closed_after_start_exits_2(tmp_path):

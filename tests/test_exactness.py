@@ -1,5 +1,8 @@
 """Exactness guard: the library computes with ints and Fractions only, except
-for the logarithmic comparison bound in surfaces.py."""
+for the logarithmic comparison bound in surfaces.py.  Import guard: only
+penner.py imports `fractions`, `decimal` or `numbers` when it is loaded;
+every other module imports `fractions` inside the function that builds a
+`Fraction`, so the `pf` and `track` engines load none of the three."""
 
 from __future__ import annotations
 
@@ -12,6 +15,9 @@ SRC = Path(curvebounds.__file__).parent
 
 # The names surfaces.py binds for the comparison bound, and its math import.
 FLM_BOUND = frozenset({"math", "_FLM_NUMERATOR", "flm_upper_bound"})
+
+# `fractions` pulls in `decimal` and `numbers`.
+NUMERIC_TOWER = frozenset({"fractions", "decimal", "numbers"})
 
 
 def _binds(node: ast.AST) -> set[str]:
@@ -71,3 +77,47 @@ def test_guard_flags_each_float_source():
     assert float_uses(tree, frozenset({"x", "f"})) == [1, 2]
     # The comparison bound is the one float path, and the allowance covers it.
     assert _scan(SRC / "surfaces.py") != []
+
+
+def load_time_imports(node: ast.AST, names: frozenset[str] = NUMERIC_TOWER) -> list[int]:
+    """Lines that import a module in `names` when the module is loaded:
+    anywhere outside a function body."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return []
+    hit = (
+        isinstance(node, ast.Import) and any(a.name.split(".")[0] in names for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.level == 0
+        and node.module.split(".")[0] in names
+    )
+    lines = [node.lineno] if hit else []
+    for child in ast.iter_child_nodes(node):
+        lines += load_time_imports(child, names)
+    return lines
+
+
+def test_only_penner_loads_fractions():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "penner.py"
+        for line in load_time_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+def test_import_guard_flags_only_load_time_imports():
+    tree = ast.parse(
+        "from fractions import Fraction\n"
+        "import os, decimal as d\n"
+        "from .numbers import local\n"
+        "if flag:\n"
+        "    from numbers import Rational\n"
+        "class C:\n"
+        "    import fractions\n"
+        "def f():\n"
+        "    from fractions import Fraction\n"
+        "    return Fraction(1, 2)\n"
+    )
+    assert load_time_imports(tree) == [1, 2, 5, 7]
+    # penner.py is the one exception, and the guard sees its import.
+    assert load_time_imports(ast.parse((SRC / "penner.py").read_text(encoding="utf-8"))) != []

@@ -80,7 +80,7 @@ def test_reference_track_is_maximal_and_recurrent(genus):
     assert len(rep.regions) == 4 * genus - 4
     assert all(r.label == "polygon(3)" for r in rep.regions)
     assert rep.is_large and rep.is_maximal
-    assert rep.total_cusps == total_cusps(track) == 6 * abs(chi)
+    assert sum(r.cusp_count for r in rep.regions) == total_cusps(track) == 6 * abs(chi)
     ok, witness = is_recurrent(track)
     assert ok
     assert all(w >= 1 for w in witness.values())

@@ -485,7 +485,7 @@ def test_classify_regions_barbell():
         "polygon(1)",
     ]
     assert not rep.is_large and not rep.is_maximal
-    assert rep.total_cusps == 2
+    assert sum(r.cusp_count for r in rep.regions) == 2
 
 
 def test_classify_regions_punctured():
