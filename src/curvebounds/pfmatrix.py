@@ -47,14 +47,14 @@ class NotBHStructureError(ValueError):
 
 
 class IntMatrix:
-    """Immutable nonnegative integer matrix, row-major.  `support` holds the
-    row bitmasks of its support digraph: bit j of row i is set iff entry
-    (i, j) is positive."""
+    """Immutable matrix of nonnegative ints, row-major; any other entry
+    raises ValueError.  `support` holds the row bitmasks of its support
+    digraph: bit j of row i is set iff entry (i, j) is positive."""
 
     __slots__ = ("rows", "cols", "entries", "support")
 
     def __init__(self, entries: Iterable[Iterable[int]]):
-        rows = tuple(tuple(map(int, row)) for row in entries)
+        rows = tuple(tuple(row) for row in entries)
         if not rows or not rows[0]:
             raise ValueError("matrix needs at least one row and one column")
         width = len(rows[0])
@@ -62,8 +62,9 @@ class IntMatrix:
         for row in rows:
             if len(row) != width:
                 raise ValueError("ragged rows")
-            if min(row) < 0:
-                raise ValueError(f"negative entry {next(x for x in row if x < 0)}")
+            for x in row:
+                if not isinstance(x, int) or x < 0:
+                    raise ValueError(f"entry {x!r} is not a nonnegative int")
             support.append(sum(1 << j for j, x in enumerate(row) if x))
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", width)
@@ -255,7 +256,11 @@ class BlockTransition:
         m = self.matrix
         _require_square(m)
         n = m.rows
-        real = frozenset(int(i) for i in self.real_set)
+        given = tuple(self.real_set)
+        for i in given:
+            if not isinstance(i, int):
+                raise BlockStructureError(f"real index {i!r} is not an int")
+        real = frozenset(given)
         object.__setattr__(self, "real_set", real)
         if not real:
             raise BlockStructureError("real branch set is empty")

@@ -24,7 +24,7 @@ from .traintrack import (
     BranchEnd,
     RegionAttachment,
     TrainTrack,
-    add_diagonals,
+    _insert_diagonals,
     boundary_cycles,
     is_recurrent,
 )
@@ -82,14 +82,12 @@ def build_spine(genus: int, corners: tuple[int, ...]) -> TrainTrack:
         )
         for name, side, slot in layout:
             placements.setdefault(name, []).append(BranchEnd(f"t{t}", side, slot))
-    branches = []
-    for name in sorted(placements, key=lambda s: (s[0], int(s[1:]))):
-        ends = placements[name]
-        if len(ends) != 2:
-            raise RuntimeError(f"edge {name} glued {len(ends)} times")
-        branches.append(Branch(name, (ends[0], ends[1]), "plain"))
-    switches = tuple(f"t{t}" for t in range(len(tris)))
-    return TrainTrack(switches, tuple(branches))
+    # every side pair and fan diagonal of the 4g-gon is glued exactly twice
+    branches = tuple(
+        Branch(name, tuple(placements[name]), "plain")
+        for name in sorted(placements, key=lambda s: (s[0], int(s[1:])))
+    )
+    return TrainTrack(tuple(f"t{t}" for t in range(len(tris))), branches)
 
 
 def fan_selection(cusp_count: int) -> list[tuple[int, tuple[int, int]]]:
@@ -116,10 +114,11 @@ def reference_spine(genus: int) -> TrainTrack:
 
 
 def reference_track(genus: int) -> TrainTrack:
-    """The fan from cusp 0 over reference_spine(genus), checked recurrent."""
+    """The fan from cusp 0 over reference_spine(genus), checked recurrent.
+    Chords from one cusp never cross, so the fan goes in unchecked."""
     spine = reference_spine(genus)
     cycles = boundary_cycles(spine)  # one cycle: the star of the single vertex
-    track = add_diagonals(spine, cycles, fan_selection(cycles[0].cusp_count))
+    track = _insert_diagonals(spine, cycles, fan_selection(cycles[0].cusp_count))
     ok, dead = is_recurrent(track)
     if not ok:
         raise RuntimeError(f"genus {genus}: branch {dead[0]} lies on no closed route")

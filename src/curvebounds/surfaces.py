@@ -168,7 +168,7 @@ class BoundReport(NamedTuple):
             )
 
 
-def frac_str(x: Rational) -> str:
+def frac_str(x: int | Fraction) -> str:
     """`x` as "p/q", with q = 1 for an integer.  An int or a `Fraction` is
     already in lowest terms, so no `Fraction` is built."""
     return f"{x.numerator}/{x.denominator}"

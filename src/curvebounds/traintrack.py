@@ -409,35 +409,20 @@ def _region_report(
 REGION_CUSP_CUTOFF = 8
 
 
-def _chords(k: int) -> list[tuple[int, int]]:
-    """Non-adjacent position pairs of a k-gon, lexicographic."""
-    out = []
-    for i in range(k):
-        for j in range(i + 2, k):
-            if i == 0 and j == k - 1:
-                continue
-            out.append((i, j))
-    return out
-
-
 def _crossing(c1: tuple[int, int], c2: tuple[int, int]) -> bool:
     (i, j), (p, q) = c1, c2
     return (i < p < j < q) or (p < i < q < j)
 
 
-def _noncrossing_subsets(chords: list[tuple[int, int]]) -> list[tuple[tuple[int, int], ...]]:
-    out: list[tuple[tuple[int, int], ...]] = []
-
-    def rec(start: int, chosen: list[tuple[int, int]]) -> None:
-        out.append(tuple(chosen))
-        for t in range(start, len(chords)):
-            if all(not _crossing(chords[t], c) for c in chosen):
-                chosen.append(chords[t])
-                rec(t + 1, chosen)
-                chosen.pop()
-
-    rec(0, [])
-    return out
+def _dissections(k: int) -> list[tuple[tuple[int, int], ...]]:
+    """Every set of mutually non-crossing diagonals of a k-gon, as a sorted
+    tuple of sorted position pairs, in lexicographic order."""
+    chords = [(i, j) for i in range(k) for j in range(i + 2, k - (i == 0))]
+    out = [()]
+    for s in out:  # out grows: each set gains each later chord it does not cross
+        later = [c for c in chords if not s or s[-1] < c]
+        out += [s + (c,) for c in later if not any(_crossing(d, c) for d in s)]
+    return sorted(out)
 
 
 def _check_selection(
@@ -471,7 +456,19 @@ def add_diagonals(
     cycles: Sequence[BoundaryCycle],
     selection: Sequence[tuple[int, tuple[int, int]]],
 ) -> TrainTrack:
-    """Rebuild the track with one new branch per (cycle index, chord) entry.
+    """Rebuild the track with one new branch per (cycle index, chord) entry,
+    after checking that the entries are mutually non-crossing diagonals of
+    their polygons (TrackStructureError names the first that is not)."""
+    _check_selection(cycles, selection)
+    return _insert_diagonals(track, cycles, selection)
+
+
+def _insert_diagonals(
+    track: TrainTrack,
+    cycles: Sequence[BoundaryCycle],
+    selection: Sequence[tuple[int, tuple[int, int]]],
+) -> TrainTrack:
+    """`add_diagonals` on a selection known to be valid, unchecked.
 
     Each diagonal terminates inside its two cusps; ends sharing a cusp are
     ordered by cyclic distance to their far endpoint, nearest distance
@@ -480,7 +477,6 @@ def add_diagonals(
     i-th new end of side v, in the gap after slot g, at position g + 1 + i.
     Every end's slot is then its position in the copy.
     """
-    _check_selection(cycles, selection)
     taken = {b.name for b in track.branches}
     names = (f"d{c}" for c in itertools.count() if f"d{c}" not in taken)
     fresh = list(itertools.islice(names, len(selection)))
@@ -527,13 +523,11 @@ def enumerate_diagonal_extensions(
                 f"region {info.index} has {info.cusp_count} cusps, "
                 f"cutoff is {REGION_CUSP_CUTOFF}"
             )
-    per_region = [
-        _noncrossing_subsets(_chords(info.cusp_count)) for info in report.regions
-    ]
+    per_region = [_dissections(info.cusp_count) for info in report.regions]
     out = []
     for combo in itertools.product(*per_region):
         sel = [(ci, chord) for ci, sub in enumerate(combo) for chord in sub]
-        ext = add_diagonals(track, cycles, sel)
+        ext = _insert_diagonals(track, cycles, sel)
         if not _route_graph(ext):
             out.append(ext)
     return tuple(out)

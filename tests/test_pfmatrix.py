@@ -58,6 +58,23 @@ def test_matrix_construction_errors():
         IntMatrix([[1, -2]])
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        # read as [[0, 1], [1, 0]], this would have no positive power
+        ([[0.5, 1], [1, 0.9]], "entry 0.5 is not a nonnegative int"),
+        ([[1, 1], [1, 0.9]], "entry 0.9 is not a nonnegative int"),
+        ([["3"]], "entry '3' is not a nonnegative int"),
+        ([[Fraction(2)]], "entry Fraction(2, 1) is not a nonnegative int"),
+        ([[1, -2]], "entry -2 is not a nonnegative int"),
+    ],
+)
+def test_matrix_takes_nonnegative_ints_only(entries, message):
+    with pytest.raises(ValueError) as info:
+        IntMatrix(entries)
+    assert str(info.value) == message
+
+
 def test_matrix_immutable():
     m = IntMatrix([[1]])
     with pytest.raises(AttributeError):
@@ -316,6 +333,17 @@ SIG4 = SurfaceSig(4, 0)  # 3|chi| - 3 = 15 real, 9|chi| = 54 branches
 
 def _bt(entries, real, sig=SIG):
     return BlockTransition(IntMatrix(entries), frozenset(real), sig)
+
+
+@pytest.mark.parametrize(
+    "real, bad",
+    [([0.7, 1.2], "0.7"), ([1, "0"], "'0'"), ([Fraction(0)], "Fraction(0, 1)")],
+)
+def test_block_transition_takes_int_indices_only(real, bad):
+    """A float index read as an int would name a different real set."""
+    with pytest.raises(BlockStructureError) as info:
+        BlockTransition(IntMatrix([[1, 1], [1, 1]]), real, SurfaceSig(2, 0))
+    assert str(info.value) == f"real index {bad} is not an int"
 
 
 def test_block_transition_structure_checks():

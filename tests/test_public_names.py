@@ -1,13 +1,17 @@
 """Public-name guard: every `__all__` entry of a `curvebounds` module
-resolves, the package re-exports only names its modules list there, and
-every re-exported name is used by the library, a demo, the benchmark or the
-acceptance gate, not only by its own tests."""
+resolves, the package re-exports only names its modules list there, every
+re-exported name is used by the library, a demo, the benchmark or the
+acceptance gate, not only by its own tests, and every annotation names
+something bound."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import pkgutil
+import typing
+from fractions import Fraction
 from pathlib import Path
 
 import curvebounds
@@ -22,6 +26,35 @@ def test_all_names_resolve():
     for module in _modules():
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), (module.__name__, name)
+
+
+def _annotated(module):
+    """The functions and classes `module` defines, and the functions its
+    classes define (methods, property getters, class and static methods)."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isclass(obj):
+            yield obj
+            for attr in vars(obj).values():
+                if isinstance(attr, property):
+                    attr = attr.fget
+                fn = getattr(attr, "__func__", attr)  # unwrap class and static methods
+                if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                    yield fn
+        elif inspect.isfunction(obj):
+            yield obj
+
+
+def test_annotation_names_resolve():
+    """Each annotation in the library evaluates.  `Fraction` is supplied,
+    because the modules import it only inside the functions that build one."""
+    checked = 0
+    for module in (curvebounds, *_modules()):
+        for obj in _annotated(module):
+            typing.get_type_hints(obj, localns={"Fraction": Fraction})
+            checked += 1
+    assert checked > 100
 
 
 def test_package_exports_are_listed():

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from curvebounds import reference
+from curvebounds import reference, traintrack
 from curvebounds.reference import (
     build_spine,
     fan_selection,
@@ -156,6 +156,49 @@ def test_reference_track_refuses_a_dead_branch(monkeypatch):
     monkeypatch.setattr(reference, "reference_spine", lambda g: spine)
     with pytest.raises(RuntimeError, match="branch q2 lies on no closed route"):
         reference_track(2)
+
+
+def _parts(track):
+    return track.switches, track.branches, track.sides, track.ends
+
+
+def test_internal_callers_skip_the_selection_check(monkeypatch):
+    """The enumerator's dissections and the reference fan are valid by
+    construction, so neither runs `_check_selection`: with it raising, they
+    return what they return with it in place."""
+    spine3 = reference_spine(3)
+    bases = [
+        (reference_spine(2), spine_attachment(2)),
+        (
+            add_diagonals(spine3, boundary_cycles(spine3), [(0, (0, 5)), (0, (0, 2))]),
+            RegionAttachment(SurfaceSig(3, 0), ((0, 0),) * 3),
+        ),
+    ]
+    want = [enumerate_diagonal_extensions(*b) for b in bases]
+    want_tracks = [_parts(reference_track(g)) for g in range(2, 13)]
+    assert [len(exts) for exts in want] == [45, 495]
+
+    def refuse(cycles, selection):
+        raise AssertionError("selection checked")
+
+    monkeypatch.setattr(traintrack, "_check_selection", refuse)
+    spine = reference_spine(2)
+    with pytest.raises(AssertionError, match="^selection checked$"):
+        add_diagonals(spine, boundary_cycles(spine), [(0, (0, 2))])
+    for (track, att), exts in zip(bases, want):
+        got = enumerate_diagonal_extensions(track, att)
+        assert list(map(_parts, got)) == list(map(_parts, exts))
+    assert [_parts(reference_track(g)) for g in range(2, 13)] == want_tracks
+
+
+@pytest.mark.parametrize("genus", range(2, 31))
+def test_reference_track_equals_the_checked_fan(genus):
+    """The unchecked insertion of the fan gives the track that
+    `add_diagonals`, which checks the fan first, gives."""
+    spine = reference_spine(genus)
+    cycles = boundary_cycles(spine)
+    checked = add_diagonals(spine, cycles, fan_selection(cycles[0].cusp_count))
+    assert _parts(reference_track(genus)) == _parts(checked)
 
 
 def test_square_fixture_extensions():
