@@ -529,6 +529,18 @@ def test_branch_count_report_flags():
 # --- chords and diagonal extensions -----------------------------------------
 
 
+def test_chords():
+    """The singletons of `_dissections(k)` are the diagonals of the k-gon,
+    in lexicographic order."""
+
+    def chords(k):
+        return [s[0] for s in _dissections(k) if len(s) == 1]
+
+    assert chords(3) == []
+    assert chords(4) == [(0, 2), (1, 3)]
+    assert chords(5) == [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]
+
+
 def test_crossing():
     assert _crossing((0, 2), (1, 3))
     assert not _crossing((0, 2), (2, 4))
@@ -538,8 +550,7 @@ def test_crossing():
 def test_noncrossing_subsets_match_brute_force():
     """`_dissections(k)` lists D(k) distinct families in lexicographic
     order, each of mutually non-crossing diagonals, so it lists all of them;
-    up to the heptagon, brute force lists them too.  Its singletons are the
-    diagonals, in lexicographic order."""
+    up to the heptagon, brute force lists them too."""
     for k in range(3, 11):
         mine = _dissections(k)
         assert mine == sorted(set(mine)) and len(mine) == dissection_count(k), k
@@ -549,13 +560,6 @@ def test_noncrossing_subsets_match_brute_force():
             assert not any(crossing_brute(c, d) for c in family for d in family)
         if k < 8:
             assert {frozenset(s) for s in mine} == noncrossing_subsets_brute(k), k
-
-    def singletons(k):
-        return [s[0] for s in _dissections(k) if len(s) == 1]
-
-    assert singletons(3) == []
-    assert singletons(4) == [(0, 2), (1, 3)]
-    assert singletons(5) == [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]
     assert _dissections(4) == [(), ((0, 2),), ((1, 3),)]
 
 
