@@ -47,9 +47,10 @@ class NotBHStructureError(ValueError):
 
 
 class IntMatrix:
-    """Immutable matrix of nonnegative ints, row-major; any other entry
-    raises ValueError.  `support` holds the row bitmasks of its support
-    digraph: bit j of row i is set iff entry (i, j) is positive."""
+    """Immutable matrix of nonnegative ints, row-major; any other entry, a
+    bool included, raises ValueError.  `support` holds the row bitmasks of
+    its support digraph: bit j of row i is set iff entry (i, j) is
+    positive."""
 
     __slots__ = ("rows", "cols", "entries", "support")
 
@@ -63,7 +64,7 @@ class IntMatrix:
             if len(row) != width:
                 raise ValueError("ragged rows")
             for x in row:
-                if not isinstance(x, int) or x < 0:
+                if type(x) is not int or x < 0:
                     raise ValueError(f"entry {x!r} is not a nonnegative int")
             support.append(sum(1 << j for j, x in enumerate(row) if x))
         object.__setattr__(self, "rows", len(rows))
@@ -258,7 +259,7 @@ class BlockTransition:
         n = m.rows
         given = tuple(self.real_set)
         for i in given:
-            if not isinstance(i, int):
+            if type(i) is not int:
                 raise BlockStructureError(f"real index {i!r} is not an int")
         real = frozenset(given)
         object.__setattr__(self, "real_set", real)

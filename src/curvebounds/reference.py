@@ -10,10 +10,42 @@ into triangles, which makes the track maximal.
 
 Each trivalent switch needs a smoothing: one of its three corners becomes
 the cusp, and most patterns leave branches on no closed route.  The rule
-here puts it at corner 1 of triangle 4g - 4 and at corner 0 of every other
-triangle, then fans from cusp 0.  No proof yet says the rule's spines are
-strongly connected (which makes every extension recurrent), so
-reference_track() checks is_recurrent and names the first dead branch.
+here puts it at corner 1 of triangle T = 4g - 4 and at corner 0 of every
+other triangle, then fans from cusp 0.  Lemma A below shows that every
+branch of the result lies on a closed smooth route, so the track is
+recurrent (Penner-Harer, Combinatorics of Train Tracks, 1992).
+
+Lemma A.  The switch-side graph of reference_spine(g) is strongly
+connected for every g >= 2.  Node v = 2t + side is that side of switch
+t{t}, and a branch with end nodes A and B is the edge A -> B ^ 1 one way
+and B -> A ^ 1 the other (traintrack._route_graph).
+
+Proof.  By _triangle_edges, q{k} joins the right side of triangle k - 2
+to the left side of triangle k - 1, s0 joins the left of t0 to the bottom
+of t1, and s{4g - 3} joins the bottom of t{T} to the right of t{T + 1}.
+Corner 0 puts the left and bottom ends on side 0 and the right end on
+side 1; corner 1 puts the bottom and right ends on side 0 and the left end
+on side 1.  So q{k} gives the edges 2k - 3 -> 2k - 1 and 2k - 2 -> 2k - 4
+for k <= T, and s0 gives 0 -> 3 and 2 -> 1.  At triangle T, q{T + 1},
+q{T + 2} and s{4g - 3} give 2T - 1 -> 2T, 2T + 1 -> 2T - 2, 2T -> 2T + 3,
+2T + 2 -> 2T + 1, 2T -> 2T + 2 and 2T + 3 -> 2T + 1.  These edges alone
+make the closed route that leaves t1 through side 0 along the branches
+
+    q2, s0, q3 ... q{T}, q{T + 1}, q{T + 2}, s{4g - 3}, q{T + 1}, q{T} ... q3,
+    s0, q2, q3 ... q{T}, q{T + 1}, s{4g - 3}, q{T + 2}, q{T + 1}, q{T} ... q3,
+
+16g - 12 steps through the nodes 2, 0, 3, 5, ..., 2T - 1, 2T, 2T + 3,
+2T + 1, 2T - 2, 2T - 4, ..., 2, 1, 3, ..., 2T - 1, 2T, 2T + 2, 2T + 1,
+2T - 2, ..., 4 and back to 2.  It passes all 2T + 4 nodes of the 4g - 2
+switches, so every node reaches every other.
+
+Extension step.  _insert_diagonals keeps every base end's node, because it
+changes only slots, and adds one edge pair per diagonal.  So the
+switch-side graph of reference_track(g), as of any diagonal extension of a
+strongly connected base, contains the spine's graph on the same nodes and
+is strongly connected too.  Every branch edge then lies inside the one
+component: _route_graph finds no dead branch, and is_recurrent holds
+without being run.
 """
 
 from __future__ import annotations
@@ -26,7 +58,6 @@ from .traintrack import (
     TrainTrack,
     _insert_diagonals,
     boundary_cycles,
-    is_recurrent,
 )
 
 __all__ = [
@@ -114,12 +145,9 @@ def reference_spine(genus: int) -> TrainTrack:
 
 
 def reference_track(genus: int) -> TrainTrack:
-    """The fan from cusp 0 over reference_spine(genus), checked recurrent.
-    Chords from one cusp never cross, so the fan goes in unchecked."""
+    """The fan from cusp 0 over reference_spine(genus): maximal, and
+    recurrent by lemma A and its extension step.  Chords from one cusp never
+    cross, so the fan goes in unchecked."""
     spine = reference_spine(genus)
     cycles = boundary_cycles(spine)  # one cycle: the star of the single vertex
-    track = _insert_diagonals(spine, cycles, fan_selection(cycles[0].cusp_count))
-    ok, dead = is_recurrent(track)
-    if not ok:
-        raise RuntimeError(f"genus {genus}: branch {dead[0]} lies on no closed route")
-    return track
+    return _insert_diagonals(spine, cycles, fan_selection(cycles[0].cusp_count))

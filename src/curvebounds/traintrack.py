@@ -174,14 +174,14 @@ def check_measure(track: TrainTrack, weights: Mapping[str, int]) -> bool:
     """True iff the int weights balance at every switch: the branch ends on
     side 0 carry the same total weight as those on side 1 (a loop with both
     ends on one side counts twice).  A missing or negative weight, or one
-    that is not an int (a Fraction, a float or a string), raises
+    that is not an int (a bool, a Fraction, a float or a string), raises
     ValueError."""
     w = []
     for b in track.branches:
         if b.name not in weights:
             raise ValueError(f"no weight for branch {b.name}")
         x = weights[b.name]
-        if not isinstance(x, int):
+        if type(x) is not int:
             raise ValueError(f"weight {x!r} on branch {b.name} is not an int")
         if x < 0:
             raise ValueError(f"negative weight {x} on branch {b.name}")

@@ -468,7 +468,9 @@ def darts_strongly_connected(track: TrainTrack) -> bool:
     """Whether every dart of the dart graph reaches every other.  Then every
     branch lies on a closed route, and so does every branch of a track with
     diagonals added in the cusps: a new dart continues into old darts and old
-    darts continue into it, so the dart graph stays strongly connected."""
+    darts continue into it, so the dart graph stays strongly connected.  This
+    is the extension step of lemma A (`curvebounds.reference`), which proves
+    `reference_spine(g)` strongly connected for every g >= 2."""
     succ = _dart_graph(track)
     pred = {dart: [] for dart in succ}
     for dart, nxt in succ.items():
@@ -486,6 +488,49 @@ def darts_strongly_connected(track: TrainTrack) -> bool:
         return len(seen) == len(adj)
 
     return reaches_all(succ) and reaches_all(pred)
+
+
+def end_switch_sides(track: TrainTrack) -> dict[str, list[tuple[str, int]]]:
+    """Per branch name, the (switch, side) of each of its ends, in end order,
+    read off the branch's own `BranchEnd`s and unpacked as in `_dart_graph`."""
+    return {
+        name: [(switch, side) for switch, side, _ in branch_ends]
+        for name, branch_ends, _ in track.branches
+    }
+
+
+def reference_route(genus: int) -> list[tuple[str, int]]:
+    """Lemma A's closed smooth route on `reference_spine(genus)`, as darts
+    (branch name, the end it leaves from), from the lemma's branch list
+    alone.  With T = 4g - 4, q{k} has its end 0 at triangle k - 2 and its
+    end 1 at triangle k - 1, s0 its ends at t0 and t1, and s{4g - 3} at
+    t{T} and t{T + 1}; so a dart leaves end 0 on the way up the triangle
+    chain and end 1 on the way down.  16g - 12 darts, from t1's side 0."""
+    t = 4 * genus - 4
+    top = f"s{4 * genus - 3}"
+    up = [(f"q{k}", 0) for k in range(3, t + 2)]  # q3 .. q{T + 1}
+    down = [(f"q{k}", 1) for k in range(t + 1, 2, -1)]  # q{T + 1} .. q3
+    return (
+        [("q2", 1), ("s0", 0)] + up + [(f"q{t + 2}", 0), (top, 1)] + down
+        + [("s0", 1), ("q2", 0)] + up + [(top, 0), (f"q{t + 2}", 1)] + down
+    )
+
+
+def closed_route_covers(track: TrainTrack, route: list[tuple[str, int]]) -> bool:
+    """Oracle: whether the darts (branch name, the end it leaves from) make a
+    closed smooth route through both sides of every switch.  Each dart must
+    leave from the switch where the dart before it arrives, through the
+    other side, the first dart following the last; and the darts must leave
+    through every (switch, side).  The sides come from `end_switch_sides`."""
+    at = end_switch_sides(track)
+    leave = [at[name][e] for name, e in route]
+    arrive = [at[name][1 - e] for name, e in route]
+    smooth = all(
+        switch == nxt and side != nxt_side
+        for (switch, side), (nxt, nxt_side) in zip(arrive, leave[1:] + leave[:1])
+    )
+    every = {(switch, side) for switch in track.switches for side in (0, 1)}
+    return bool(route) and smooth and set(leave) == every
 
 
 def some_closed_route(track: TrainTrack) -> list[int] | None:

@@ -27,6 +27,8 @@ ORACLES = (
     "_dart_graph", "route_dead_branches", "route_recurrent",
     "darts_strongly_connected", "some_closed_route", "counting_measure",
     "ribbon_cycles", "switch_balance",
+    # lemma A's route on the reference spines
+    "end_switch_sides", "reference_route", "closed_route_covers",
     # Penner
     "PennerSystem", "twist_support", "rotate", "step", "certify",
     "oracle_trace", "step_trace", "penner_matrix", "reference_penner_report",

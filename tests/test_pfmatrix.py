@@ -67,6 +67,8 @@ def test_matrix_construction_errors():
         ([["3"]], "entry '3' is not a nonnegative int"),
         ([[Fraction(2)]], "entry Fraction(2, 1) is not a nonnegative int"),
         ([[1, -2]], "entry -2 is not a nonnegative int"),
+        # a bool is an int subclass, but no matrix entry
+        ([[True, 1], [1, False]], "entry True is not a nonnegative int"),
     ],
 )
 def test_matrix_takes_nonnegative_ints_only(entries, message):
@@ -337,7 +339,12 @@ def _bt(entries, real, sig=SIG):
 
 @pytest.mark.parametrize(
     "real, bad",
-    [([0.7, 1.2], "0.7"), ([1, "0"], "'0'"), ([Fraction(0)], "Fraction(0, 1)")],
+    [
+        ([0.7, 1.2], "0.7"),
+        ([1, "0"], "'0'"),
+        ([Fraction(0)], "Fraction(0, 1)"),
+        ([True], "True"),
+    ],
 )
 def test_block_transition_takes_int_indices_only(real, bad):
     """A float index read as an int would name a different real set."""

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from curvebounds import reference, traintrack
+from curvebounds import traintrack
 from curvebounds.reference import (
     build_spine,
     fan_selection,
@@ -29,12 +29,15 @@ from curvebounds.traintrack import (
 )
 
 from helpers import (
+    closed_route_covers,
     darts_strongly_connected,
     data_path,
     dissection_count,
     dissection_sizes,
+    end_switch_sides,
     format_track,
     noncrossing_subsets_brute,
+    reference_route,
     ribbon_cycles,
     route_dead_branches,
     switch_balance,
@@ -148,14 +151,87 @@ def test_build_spine_refuses_bad_corners(genus, corners, message):
     assert str(info.value) == message
 
 
-def test_reference_track_refuses_a_dead_branch(monkeypatch):
-    """The all-zero corner pattern leaves branches off every route."""
+@pytest.mark.parametrize("genus", [2, 3, 4, 7, 30])
+def test_lemma_a_edges(genus):
+    """The edges lemma A's proof reads off the corner rule: node 2t + side
+    is that side of switch t{t}, and a branch with end nodes A and B is the
+    edges A -> B ^ 1 and B -> A ^ 1.  The nodes come from the branches'
+    own ends."""
+    t = 4 * genus - 4
+    at = end_switch_sides(reference_spine(genus))
+
+    def edges(*names):
+        out = set()
+        for name in names:
+            a, z = (2 * int(switch[1:]) + side for switch, side in at[name])
+            out |= {(a, z ^ 1), (z, a ^ 1)}
+        return out
+
+    for k in range(2, t + 1):
+        assert edges(f"q{k}") == {(2 * k - 3, 2 * k - 1), (2 * k - 2, 2 * k - 4)}
+    assert edges("s0") == {(0, 3), (2, 1)}
+    assert edges(f"q{t + 1}", f"q{t + 2}", f"s{4 * genus - 3}") == {
+        (2 * t - 1, 2 * t), (2 * t + 1, 2 * t - 2), (2 * t, 2 * t + 3),
+        (2 * t + 2, 2 * t + 1), (2 * t, 2 * t + 2), (2 * t + 3, 2 * t + 1),
+    }
+
+
+def test_lemma_a_route_is_closed_smooth_and_covers_every_switch_side():
+    """Lemma A's named route, checked step by step against the branches'
+    own ends: every dart leaves through the side opposite the one the dart
+    before it arrived on, the route closes, and it leaves through both
+    sides of every switch, so the spine's switch-side graph is strongly
+    connected."""
+    for genus in range(2, 301):
+        route = reference_route(genus)
+        assert len(route) == 16 * genus - 12
+        assert closed_route_covers(reference_spine(genus), route), genus
+
+
+def test_lemma_a_route_fails_off_the_rule():
+    """The check is no formality: a route with one dart turned round fails,
+    and so does the route on the all-zero corner pattern, which leaves
+    branches off every route."""
+    route = reference_route(2)
+    assert not closed_route_covers(reference_spine(2), [("q2", 0)] + route[1:])
     spine = build_spine(2, (0,) * 6)
+    assert not closed_route_covers(spine, route)
     fan = add_diagonals(spine, boundary_cycles(spine), fan_selection(6))
     assert route_dead_branches(fan)[0] == "q2"
-    monkeypatch.setattr(reference, "reference_spine", lambda g: spine)
-    with pytest.raises(RuntimeError, match="branch q2 lies on no closed route"):
-        reference_track(2)
+
+
+def _base_families():
+    """The bases of the 45 and 495 extension families, with attachments."""
+    spine3 = reference_spine(3)
+    return [
+        (reference_spine(2), spine_attachment(2)),
+        (
+            add_diagonals(spine3, boundary_cycles(spine3), [(0, (0, 5)), (0, (0, 2))]),
+            RegionAttachment(SurfaceSig(3, 0), ((0, 0),) * 3),
+        ),
+    ]
+
+
+def _keeps_base_sides(base, ext) -> bool:
+    want = end_switch_sides(base)
+    got = end_switch_sides(ext)
+    return {name: got[name] for name in want} == want
+
+
+def test_extensions_keep_every_base_end_on_its_switch_side():
+    """Lemma A's extension step: diagonal insertion moves base ends only
+    within their switch sides, so an extension's switch-side graph contains
+    its base's on the same nodes.  Checked on the 45 and 495 families and
+    on every reference track up to genus 100, where lemma A's route also
+    stays a closed route through every switch side."""
+    for base, att in _base_families():
+        exts = enumerate_diagonal_extensions(base, att)
+        assert len(exts) in (45, 495)
+        assert all(_keeps_base_sides(base, ext) for ext in exts)
+    for genus in range(2, 101):
+        track = reference_track(genus)
+        assert _keeps_base_sides(reference_spine(genus), track), genus
+        assert closed_route_covers(track, reference_route(genus)), genus
 
 
 def _parts(track):
@@ -166,14 +242,7 @@ def test_internal_callers_skip_the_selection_check(monkeypatch):
     """The enumerator's dissections and the reference fan are valid by
     construction, so neither runs `_check_selection`: with it raising, they
     return what they return with it in place."""
-    spine3 = reference_spine(3)
-    bases = [
-        (reference_spine(2), spine_attachment(2)),
-        (
-            add_diagonals(spine3, boundary_cycles(spine3), [(0, (0, 5)), (0, (0, 2))]),
-            RegionAttachment(SurfaceSig(3, 0), ((0, 0),) * 3),
-        ),
-    ]
+    bases = _base_families()
     want = [enumerate_diagonal_extensions(*b) for b in bases]
     want_tracks = [_parts(reference_track(g)) for g in range(2, 13)]
     assert [len(exts) for exts in want] == [45, 495]
@@ -301,8 +370,9 @@ def test_dissection_count_is_little_schroeder():
 )
 def test_extension_count_is_product_of_dissection_counts(genus, chords, count):
     """On a base whose dart graph is strongly connected every diagonal
-    family is recurrent, so the extensions number the product of D(k) over
-    the polygon regions."""
+    family is recurrent (the extension step of lemma A in
+    `curvebounds.reference`), so the extensions number the product of D(k)
+    over the polygon regions."""
     spine = reference_spine(genus)
     base = add_diagonals(spine, boundary_cycles(spine), [(0, c) for c in chords])
     sizes = dissection_sizes(4 * genus - 2, chords)

@@ -248,12 +248,14 @@ def test_check_measure():
         {"loopL": 1, "bar": "2", "loopR": 1},
         {"loopL": Fraction(1), "bar": Fraction(2), "loopR": Fraction(1)},
         {"loopL": 1, "bar": Fraction(2), "loopR": 1},
+        # a bool is an int subclass, and True would balance as 1
+        {"loopL": True, "bar": 2, "loopR": True},
     ],
 )
 def test_check_measure_refuses_float_and_string_weights(weights):
-    """Weights must be ints, never converted: a float, a string or a
-    Fraction raises, even one that would balance."""
-    with pytest.raises(ValueError):
+    """Weights must be ints, never converted: a float, a string, a
+    Fraction or a bool raises, even one that would balance."""
+    with pytest.raises(ValueError, match=r"^weight .+ on branch \w+ is not an int$"):
         check_measure(barbell(), weights)
 
 
