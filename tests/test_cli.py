@@ -4,6 +4,7 @@ import contextlib
 import errno
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import curvebounds
-from curvebounds import traintrack
+from curvebounds import penner, traintrack
 from curvebounds.cli import main, run_bounds, run_penner
 from curvebounds.fileio import load_track
 from curvebounds.penner import TraceResult, trace
@@ -231,14 +232,15 @@ def test_penner_json_lists_names_in_curve_order(capsys):
 
 
 def test_bounds_reads_best_k_only(capsys, monkeypatch):
-    """`bounds` needs only best_k and bound, so it never replays a trace."""
-    def refuse(self):
-        raise AssertionError("bounds must not rebuild per-step trace data")
+    """`bounds` reads best_k from lemma B's closed form, so it runs no
+    trace at all."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("bounds must not run the Penner trace")
 
-    monkeypatch.setattr(TraceResult, "masks", property(refuse))
-    monkeypatch.setattr(TraceResult, "certificates", property(refuse))
-    assert main(["bounds", "--genus-min", "2", "--genus-max", "40"]) == 0
-    assert capsys.readouterr().out
+    monkeypatch.setattr(penner, "trace", refuse)
+    for args in (["--genus-max", "40"], ["--genus-max", "1000", "--json"]):
+        assert main(["bounds", "--genus-min", "2", *args]) == 0
+        assert capsys.readouterr().out
 
 
 def test_penner_never_builds_masks(capsys, monkeypatch):
@@ -795,11 +797,9 @@ def _assert_one_error_line(proc, err: bytes) -> None:
     "args",
     [
         ["penner", "--genus", "1000000000000"],
-        ["bounds", "--genus-min", "1000000000000", "--genus-max", "1000000000000"],
         ["penner", "--genus", str(10**30)],
-        ["bounds", "--genus-min", str(10**30), "--genus-max", str(10**30)],
     ],
-    ids=["penner", "bounds", "penner-1e30", "bounds-1e30"],
+    ids=["penner", "penner-1e30"],
 )
 def test_huge_genus_out_of_memory_exits_2_with_one_line(args):
     """The Penner trace of genus 10**12 needs a 3-terabit mask, so under a
@@ -814,6 +814,50 @@ def test_huge_genus_out_of_memory_exits_2_with_one_line(args):
     assert err.startswith("error:")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("genus", [10**12, 10**30], ids=["bounds", "bounds-1e30"])
+def test_huge_genus_bounds_row_from_closed_form(genus):
+    """`bounds` runs no trace, so a genus whose trace could not run gets
+    its row from integer arithmetic alone, within the same 1 GiB address
+    space (set in the child only).  The row is checked against the paper's
+    formulas computed here: lower 1/(162 chi^2 + 6|chi|), upper
+    4/(g^2 + g - 4), and penner_k = (g-1) + floor((g-1)/2)(g+1) + [g even]."""
+    args = ["bounds", "--genus-min", str(genus), "--genus-max", str(genus), "--json"]
+    with _cli_subprocess(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                         preexec_fn=partial(_limit_address_space, 1 << 30)) as proc:
+        out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, "")
+
+    def frac(p: int, q: int) -> str:
+        d = math.gcd(p, q)
+        return f"{p // d}/{q // d}"
+
+    g, chi = genus, 2 - 2 * genus
+    k = (g - 1) + (g - 1) // 2 * (g + 1) + (g % 2 == 0)
+    [row] = json.loads(out)["rows"]
+    assert math.isclose(row.pop("flm_upper_float64"),
+                        4 * math.log(2 + math.sqrt(3)) / (g * math.log(g - 0.5)))
+    assert row == {
+        "genus": g, "punctures": 0,
+        "lower": frac(1, 162 * chi * chi + 6 * abs(chi)),
+        "upper_closed": frac(4, g * g + g - 4),
+        "penner_k": k,
+        "penner_upper": frac(2, k),
+    }
+
+
+def test_bounds_past_float_range_unchanged(capsys):
+    """Past the float range the closed form does not help: at genus
+    10**1000 the comparison bound's float overflows, and at 10**2500 the
+    lower bound's denominator has too many digits to print."""
+    for genus, code in ((10**1000, 2), (10**2500, 1)):
+        assert main(["bounds", "--genus-min", str(genus), "--genus-max", str(genus)]) == code
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert (out, err) == ("", "error: input too large to compute with\n")
+        else:
+            assert err == "" and out.count("\n") == 1 and "  error: " in out
 
 
 def test_penner_json_streams_within_256_mib():
@@ -831,10 +875,11 @@ def test_penner_json_streams_within_256_mib():
 
 
 def test_penner_genus_1000_decoder_tables_within_38_mib():
-    """The decoder's text tables take about 8,000 g bytes, 8.1 MB at genus
-    1000; they and the trace fit in a 38 MiB address space (set in the child
-    only); on CPython 3.11 on Linux the job needs about 27 MiB, and
-    `python -c pass` 12 MiB."""
+    """The decoder holds one string of every curve name, each led by the
+    separator, about 20 KB at genus 1000, and cuts a slice of it per run of
+    set bits; it and the trace fit in a 38 MiB address space (set in the
+    child only).  On CPython 3.11 on Linux the job peaks at about 15 MiB
+    resident, and `python -c pass` at about 14 MiB."""
     with _cli_subprocess(["penner", "--genus", "1000", "--cap", "3", "--json"],
                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                          preexec_fn=partial(_limit_address_space, 38 << 20)) as proc:

@@ -19,7 +19,7 @@ BANNED = frozenset({
     "sides", "ends", "side_ends", "_route_graph", "boundary_cycles", "_closed",
     "_digraph", "check_measure",
     # the support decoder
-    "_curves", "_decode", "_byte_tables", "sorted_names",
+    "_curves", "_decode", "_runs", "sorted_names",
 })
 
 ORACLES = (
@@ -83,7 +83,7 @@ def test_name_walk_catches_every_form():
         "    _curves, masks = p.TraceResult._decode(b)\n"
         "    cycles = tt.boundary_cycles(track)\n"
         "    b.sorted_names(' ')\n"
-        "    p._byte_tables(masks, 0)\n"
+        "    p._runs(masks)\n"
         "    tt.check_measure(track, w)\n"
     )
     assert _names(ast.parse(text)) & BANNED == BANNED

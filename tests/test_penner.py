@@ -362,10 +362,124 @@ def test_penner_upper_bound():
 
 
 def test_certified_bound_beats_closed_form():
-    """The certified iterate is the rotation-chain count, one more for even
-    genus, and its bound 2/k never exceeds the closed form."""
+    """The trace certifies the rotation-chain count, one more for even
+    genus (lemma B, which `penner_upper_bound` reads instead of tracing),
+    and its bound 2/k never exceeds the closed form."""
     for g in [*range(2, 401), 1000, 2000]:
-        k, bound = penner_upper_bound(g)
-        assert k == k_star(g) + (g % 2 == 0), g
-        assert k >= (g * g + g - 4) // 2
-        assert bound <= translation_length_upper_bound(g)
+        t = trace(g)
+        assert t.best_k == k_star(g) + (g % 2 == 0), g
+        assert t.best_k >= (g * g + g - 4) // 2
+        assert t.bound <= translation_length_upper_bound(g)
+
+
+# Lemma B (the `penner` module docstring), step by step.  The lemma's
+# supports are written here from its statement, as (start, length) of one
+# cyclic interval of indices per family a, b, c.
+
+
+def _lemma_support(g: int, rows) -> frozenset:
+    return frozenset(BaseCurve(f, (start - 1 + i) % g + 1)
+                     for f, (start, length) in zip("abc", rows) for i in range(length))
+
+
+def _round_end(g: int, j: int):
+    """T_j: A = [g-1-2j, g-1], B = C = [g-2-2j, g]."""
+    return (g - 1 - 2 * j, 2 * j + 1), (g - 2 - 2 * j, 2 * j + 3), (g - 2 - 2 * j, 2 * j + 3)
+
+
+def _run_steps(system: PennerSystem, support: frozenset, steps: int):
+    """The support after `steps` steps of the set model and the gaps between
+    its events, the steps that do more than rotate."""
+    gaps, last = [], 0
+    for t in range(1, steps + 1):
+        nxt = step(system, support)
+        if nxt != rotate(system, support):
+            gaps.append(t - last)
+            last = t
+        support = nxt
+    return support, gaps
+
+
+def _near_full(system: PennerSystem, support: frozenset) -> bool:
+    near = support.union(*(system.neighbors(c) for c in support))
+    return len(near) == 3 * system.genus
+
+
+@pytest.mark.parametrize("genus", range(5, 13))
+def test_lemma_b_round_maps_each_triple_to_the_next(genus):
+    """Claim 2: from T_j, for j < R, g + 1 steps give T_(j+1), with event
+    gaps 1, g - 4 - 2j, 1, 2j + 2, 1.  Started from T_j with one interval's
+    start moved by one, the same check fails."""
+    g, system = genus, PennerSystem(genus)
+    rounds = (g - 3) // 2
+    for j in range(rounds):
+        end = _lemma_support(g, _round_end(g, j + 1))
+        gaps = [1, g - 4 - 2 * j, 1, 2 * j + 2, 1]
+        assert _run_steps(system, _lemma_support(g, _round_end(g, j)), g + 1) == (end, gaps)
+        for fam in range(3):
+            for move in (-1, 1):
+                rows = list(_round_end(g, j))
+                rows[fam] = (rows[fam][0] + move, rows[fam][1])
+                moved = _run_steps(system, _lemma_support(g, rows), g + 1)
+                assert moved != (end, gaps), (j, fam, move)
+
+
+@pytest.mark.parametrize("genus", range(4, 13))
+def test_lemma_b_start_and_end(genus):
+    """Claim 1: 2g + 1 steps take {a_g} to T_0 with events at g, g + 1,
+    2g - 1 and 2g + 1.  Claim 3: N[S] is full at T_R for odd g; for even g
+    it is not, and one more step fills B and so N[S]."""
+    g, system = genus, PennerSystem(genus)
+    start = frozenset({BaseCurve("a", g)})
+    assert _run_steps(system, start, 2 * g + 1) == (
+        _lemma_support(g, _round_end(g, 0)), [g, 1, g - 2, 2])
+    last = _lemma_support(g, _round_end(g, (g - 3) // 2))
+    assert _near_full(system, last) == (g % 2 == 1)
+    if g % 2 == 0:
+        after = step(system, last)
+        assert {c.index for c in after if c.family == "b"} == set(range(1, g + 1))
+        assert _near_full(system, after)
+
+
+def _rows_mask(g: int, rows, shift: int = 0) -> int:
+    """The mask of one cyclic interval of indices per family, (start,
+    length) each, with every index then lowered by `shift`."""
+    full = (1 << g) - 1
+    mask = 0
+    for fam, (start, length) in enumerate(rows):
+        run = ((1 << length) - 1) << (start - 1 - shift) % g
+        mask |= ((run | run >> g) & full) << fam * g
+    return mask
+
+
+@pytest.mark.parametrize("genus", [*range(5, 401), 1000, 2000])
+def test_trace_events_follow_lemma_b(genus):
+    """The events of `trace(g)` up to k_R are exactly the lemma's, with the
+    supports it states (in the frame of each round's start, lowered by the
+    steps taken), and `best_k` is k_R - [g odd]."""
+    g = genus
+    result = trace(g)
+    expected = [
+        (0, _rows_mask(g, [(g, 1), (1, 0), (1, 0)])),
+        (g, _rows_mask(g, [(g, 1)] * 3)),
+        (g + 1, _rows_mask(g, [(g - 1, 1), (g - 1, 1), (g - 1, 2)])),
+        (2 * g - 1, _rows_mask(g, [(1, 1), (g, 2), (g, 3)])),
+        (2 * g + 1, _rows_mask(g, _round_end(g, 0))),
+    ]
+    k = 2 * g + 1
+    for j in range((g - 3) // 2):
+        s = g - 2 - 2 * j  # B's start in T_j
+        a, b, c = (s + 1, g - 1 - s), (s, g + 1 - s), (s, g + 2 - s)
+        states = [
+            (1, [a, b, c]),
+            (s - 1, [a, (s - 1, g + 2 - s), (s - 1, g + 3 - s)]),
+            (s, [(s, g - s), (s - 1, g + 2 - s), (s - 1, g + 3 - s)]),
+            (g, [(s, g + 1 - s), (s - 1, g + 2 - s), (s - 1, g + 3 - s)]),
+            (g + 1, [(s, g + 1 - s), (s - 1, g + 3 - s), (s - 1, g + 3 - s)]),
+        ]
+        expected += [(k + t, _rows_mask(g, rows, t)) for t, rows in states]
+        k += g + 1
+        assert expected[-1][1] == _rows_mask(g, _round_end(g, j + 1)), j
+    assert result.events[:len(expected)] == tuple(expected)
+    assert result.best_k == k - g % 2 == k_star(g) + (g % 2 == 0)
+    assert penner_upper_bound(g) == (result.best_k, result.bound)
