@@ -34,8 +34,9 @@ _EXPORTS = {
     for module, names in (
         (surfaces, (
             "BoundReport", "SporadicSurfaceError", "SurfaceSig", "flm_upper_bound",
-            "frac_str", "lower_bound_from_spread_time", "punctured_genus2_upper_bound",
-            "translation_length_lower_bound", "translation_length_upper_bound",
+            "frac_str", "k_star", "lower_bound_from_spread_time", "penner_upper_bound",
+            "punctured_genus2_upper_bound", "translation_length_lower_bound",
+            "translation_length_upper_bound",
         )),
         (pfmatrix, (
             "BlockStructureError", "BlockTransition", "IntMatrix",
@@ -44,7 +45,7 @@ _EXPORTS = {
             "perron_root_bracket", "primitivity_exponent", "product_lower_right",
             "wielandt_bound",
         )),
-        (penner, ("BaseCurve", "TraceResult", "k_star", "penner_upper_bound", "trace")),
+        (penner, ("BaseCurve", "TraceResult", "trace")),
         (traintrack, (
             "Branch", "BranchCountReport", "BranchEnd", "Cusp", "CuspVisit",
             "EulerMismatchError", "FoldSchedule", "PeriodicCuspError",

@@ -1,8 +1,9 @@
 """Command line front end.
 
-Subcommands: `bounds` (closed-form bound table over a genus range),
-`penner` (trace report for one genus), `pf` (matrix file analysis) and
-`track` (track file validation).  Exit status: 0 when every verdict in the
+Subcommands: `bounds` (closed-form bound table over a genus range, from
+`surfaces` alone), `penner` (trace report for one genus, the one
+subcommand that runs `penner`), `pf` (matrix file analysis) and `track`
+(track file validation).  Exit status: 0 when every verdict in the
 run passes, 1 when a verdict fails or a table row degrades to an error
 marker, 2 for a usage error, unusable input or a report (the `-h` help
 too) that cannot be written (a closed pipe, a full disk, a closed
@@ -50,7 +51,7 @@ def _bounds_row(genus: int, punctures: int) -> dict:
         if punctures == 0:
             upper = surfaces.translation_length_upper_bound(genus)
             flm = surfaces.flm_upper_bound(genus)
-            k, penner_bound = penner.penner_upper_bound(genus)
+            k, penner_bound = surfaces.penner_upper_bound(genus)
             surfaces.BoundReport(
                 surface=sig,
                 lower=lower,

@@ -24,7 +24,9 @@ the trace against an independent set-based model of the same system and
 against the plain step-by-step loop.
 
 Lemma B.  For g >= 2 and the default cap, `trace(g).best_k` =
-k_star(g) + [g even].
+k_star(g) + [g even], with `curvebounds.surfaces.k_star(g)` =
+(g - 1) + floor((g - 1)/2)(g + 1).  `surfaces.penner_upper_bound` reads
+the certified bound 2/`best_k` off this closed form without a trace.
 
 Notation.  Step k (from S_{k-1} to S_k) twists along a_1, then b_1, then
 c_1, and then rotates every index i to i - 1.  A curve joins S at a twist
@@ -123,8 +125,6 @@ __all__ = [
     "BaseCurve",
     "TraceResult",
     "trace",
-    "k_star",
-    "penner_upper_bound",
 ]
 
 FAMILIES = ("a", "b", "c")
@@ -136,15 +136,6 @@ class BaseCurve(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.family}{self.index}"
-
-
-def k_star(genus: int) -> int:
-    """Iterate count certified by the rotation-chain argument:
-    (g-1) + floor((g-1)/2) * (g+1).  `trace(g).best_k` is this count, one
-    more for even g (lemma B)."""
-    if genus < 2:
-        raise ValueError(f"needs genus >= 2, got {genus}")
-    return (genus - 1) + ((genus - 1) // 2) * (genus + 1)
 
 
 def _closed(x: int, g: int) -> int:
@@ -263,15 +254,16 @@ def _runs(m: int) -> Iterator[tuple[int, int]]:
 def trace(genus: int, cap: int | None = None) -> TraceResult:
     """Iterate the support of the starting curve a_g.
 
-    Stops at `cap` (default 3g^2) or as soon as the support has saturated to
-    the full system and repeats.  Step k is certified while some curve other
-    than b_g lies outside N[S_k]; it suffices that N[S_k] is not the whole
-    system, since b_i outside it leaves a_i outside too.  N commutes with the
-    rotation and a twist only adds curves, so once N[S_k] is everything it
-    stays so: the certified steps are 1 up to the one before the first event
-    with a full N[S_k].  Step 1 only rotates a_g, which meets no neighbour
-    of a twist curve, to a_{g-1}, and N[{a_{g-1}}] = {a_{g-1}, b_{g-1}}; so
-    the first such event comes at k >= 2 and `best_k` >= 1.
+    `genus` and `cap` are ints (a bool is not).  Stops at `cap` (default
+    3g^2) or as soon as the support has saturated to the full system and
+    repeats.  Step k is certified while some curve other than b_g lies
+    outside N[S_k]; it suffices that N[S_k] is not the whole system, since
+    b_i outside it leaves a_i outside too.  N commutes with the rotation
+    and a twist only adds curves, so once N[S_k] is everything it stays so:
+    the certified steps are 1 up to the one before the first event with a
+    full N[S_k].  Step 1 only rotates a_g, which meets no neighbour of a
+    twist curve, to a_{g-1}, and N[{a_{g-1}}] = {a_{g-1}, b_{g-1}}; so the
+    first such event comes at k >= 2 and `best_k` >= 1.
 
     Each pass of the loop handles one event: it rotates S and N[S] past the
     pure rotations before it and the event's own rotation at once, twists,
@@ -280,10 +272,14 @@ def trace(genus: int, cap: int | None = None) -> TraceResult:
     times per trace: for the start and for the three twist curves.
     """
     g = genus
+    if type(g) is not int:
+        raise ValueError(f"genus {g!r} is not an int")
     if g < 2:
         raise ValueError(f"chain system needs genus >= 2, got {g}")
     if cap is None:
         cap = 3 * g * g
+    elif type(cap) is not int:
+        raise ValueError(f"cap {cap!r} is not an int")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
 
@@ -340,10 +336,3 @@ def trace(genus: int, cap: int | None = None) -> TraceResult:
         best_k = k
     return TraceResult(genus=genus, cap=cap, events=tuple(events), steps=k, best_k=best_k)
 
-
-def penner_upper_bound(genus: int) -> tuple[int, Fraction]:
-    """Best certified iterate k = `trace(genus).best_k` and the exact bound
-    2/k it yields, read off the closed form k_star(g) + [g even] of lemma B
-    (the module docstring) without running the trace."""
-    k = k_star(genus) + (genus % 2 == 0)
-    return k, Fraction(2, k)

@@ -92,9 +92,10 @@ def _triangle_edges(genus: int) -> list[tuple[tuple[str, str], ...]]:
 def build_spine(genus: int, corners: tuple[int, ...]) -> TrainTrack:
     """Dual spine of the fan-triangulated 4g-gon.
 
-    corners[t] in {0, 1, 2} picks which corner of triangle t is the cusp:
-    the two branch ends after that corner, in counterclockwise order
-    (left, bottom, right), land on side 0 and the remaining end on side 1.
+    corners[t], an int in {0, 1, 2}, picks which corner of triangle t is
+    the cusp: the two branch ends after that corner, in counterclockwise
+    order (left, bottom, right), land on side 0 and the remaining end on
+    side 1.
     """
     if genus < 2:
         raise ValueError("genus must be at least 2")
@@ -104,8 +105,8 @@ def build_spine(genus: int, corners: tuple[int, ...]) -> TrainTrack:
     placements: dict[str, list[BranchEnd]] = {}
     for t, cyc in enumerate(tris):
         k = corners[t]
-        if k not in (0, 1, 2):
-            raise ValueError(f"corner choice {k} at triangle {t}")
+        if type(k) is not int or k not in (0, 1, 2):
+            raise ValueError(f"corner choice {k!r} at triangle {t}")
         layout = (
             (cyc[k], 0, 0),
             (cyc[(k + 1) % 3], 0, 1),

@@ -3,10 +3,15 @@
 `SurfaceSig` names a surface S_{g,n}.  Its structural bounds (branches,
 real branches, cusps and the spread-time coefficient) are ints, and every
 translation-length bound is an exact `fractions.Fraction` except the
-logarithmic comparison bound, which is a 64-bit float by nature.
+logarithmic comparison bound, which is a 64-bit float by nature.  The
+certified Penner bound 2/k is a closed form here too: lemma B in
+`curvebounds.penner` proves that k, the trace's `best_k`, is
+`k_star(g)` + [g even], so no bound in this module runs a trace.
 `fractions` is imported only inside the functions that build a `Fraction`,
 so the `pf` and `track` engines, which need only the ints, never load it
-(nor `decimal` and `numbers`, which it pulls in).
+(nor `decimal` and `numbers`, which it pulls in).  Every genus, puncture
+count and spread time given to this module must be an `int` (a `bool`
+is not); anything else raises `ValueError`.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ __all__ = [
     "cusp_bound",
     "translation_length_lower_bound",
     "translation_length_upper_bound",
+    "k_star",
+    "penner_upper_bound",
     "flm_upper_bound",
     "punctured_genus2_upper_bound",
     "lower_bound_from_spread_time",
@@ -38,12 +45,19 @@ class SporadicSurfaceError(ValueError):
     """Surface has complexity 3g - 3 + n < 2; the bounds do not apply."""
 
 
+def _require_int(what: str, x) -> None:
+    if type(x) is not int:
+        raise ValueError(f"{what} {x!r} is not an int")
+
+
 class SurfaceSig:
     """Orientable surface of genus `genus` with `punctures` punctures."""
 
     __slots__ = ("genus", "punctures")
 
     def __init__(self, genus: int, punctures: int = 0):
+        _require_int("genus", genus)
+        _require_int("punctures", punctures)
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "punctures", punctures)
         if genus < 0 or punctures < 0:
@@ -113,13 +127,37 @@ def translation_length_upper_bound(genus: int) -> Fraction:
     """Upper bound 4/(g^2 + g - 4) realized on the closed genus-g surface."""
     from fractions import Fraction
 
+    _require_int("genus", genus)
     if genus < 2:
         raise ValueError(f"closed-surface upper bound needs genus >= 2, got {genus}")
     return Fraction(4, genus * genus + genus - 4)
 
 
+def k_star(genus: int) -> int:
+    """Iterate count certified by the rotation-chain argument:
+    (g-1) + floor((g-1)/2) * (g+1).  `penner.trace(g).best_k` is this
+    count, one more for even g (lemma B in `curvebounds.penner`)."""
+    _require_int("genus", genus)
+    if genus < 2:
+        raise ValueError(f"needs genus >= 2, got {genus}")
+    return (genus - 1) + ((genus - 1) // 2) * (genus + 1)
+
+
+def penner_upper_bound(genus: int) -> tuple[int, Fraction]:
+    """Best certified iterate k = `penner.trace(genus).best_k` and the
+    exact bound 2/k it yields, read off the closed form k_star(g) + [g even]
+    that lemma B (the docstring of `curvebounds.penner`) proves, without
+    running the trace: 4/(g^2 + 2g - 3) for odd g, 4/(g^2 + g - 2) for
+    even g."""
+    from fractions import Fraction
+
+    k = k_star(genus) + (genus % 2 == 0)
+    return k, Fraction(2, k)
+
+
 def flm_upper_bound(genus: int) -> float:
     """Logarithmic comparison upper bound 4 log(2+sqrt 3) / (g log(g - 1/2))."""
+    _require_int("genus", genus)
     if genus < 2:
         raise ValueError(f"comparison bound needs genus >= 2, got {genus}")
     return _FLM_NUMERATOR / (genus * math.log(genus - 0.5))
@@ -129,6 +167,7 @@ def punctured_genus2_upper_bound(punctures: int) -> Fraction:
     """Upper bound 20/(n-4) for the genus-2 surface with n >= 5 punctures."""
     from fractions import Fraction
 
+    _require_int("punctures", punctures)
     if punctures < 5:
         raise ValueError(
             f"genus-2 punctured bound needs n >= 5, got {punctures}"
@@ -141,6 +180,7 @@ def lower_bound_from_spread_time(sig: SurfaceSig, k: int) -> Fraction:
     from fractions import Fraction
 
     sig.require_non_sporadic()
+    _require_int("spread time", k)
     if k < 1:
         raise ValueError(f"spread time must be >= 1, got {k}")
     return Fraction(1, cusp_bound(sig) + k)

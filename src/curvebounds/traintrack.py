@@ -430,24 +430,25 @@ def _check_selection(
     selection: Sequence[tuple[int, tuple[int, int]]],
 ) -> None:
     """Raise TrackStructureError at the first entry that is no diagonal of
-    its polygon or that repeats or crosses an earlier chord on its cycle."""
+    its polygon or that repeats or crosses an earlier chord on its cycle.
+    Cycle indices and cusp positions are ints (a bool or a float is none)."""
     chosen: dict[int, list[tuple[int, int]]] = {}
     for entry in selection:
         ci, (pi, pj) = entry
-        k = cycles[ci].cusp_count if ci in range(len(cycles)) else 0
-        chord = (min(pi, pj), max(pi, pj))
-        clash = [c for c in chosen.get(ci, ()) if c == chord or _crossing(c, chord)]
-        if ci not in range(len(cycles)):
+        k = cycles[ci].cusp_count if type(ci) is int and ci in range(len(cycles)) else None
+        if k is None:
             why = f"no boundary cycle {ci}"
-        elif pi not in range(k) or pj not in range(k):
+        elif not all(type(p) is int and p in range(k) for p in (pi, pj)):
             why = f"cycle {ci} has cusp positions 0..{k - 1}"
         elif (pj - pi) % k in (0, 1, k - 1):
             why = "equal or adjacent cusps are not a diagonal"
-        elif clash:
-            why = f"repeats or crosses {clash[0]} on cycle {ci}"
         else:
-            chosen.setdefault(ci, []).append(chord)
-            continue
+            chord = (min(pi, pj), max(pi, pj))
+            clash = [c for c in chosen.get(ci, ()) if c == chord or _crossing(c, chord)]
+            if not clash:
+                chosen.setdefault(ci, []).append(chord)
+                continue
+            why = f"repeats or crosses {clash[0]} on cycle {ci}"
         raise TrackStructureError(f"selection entry {entry}: {why}")
 
 

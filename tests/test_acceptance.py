@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvebounds.penner import BaseCurve, penner_upper_bound, trace
+from curvebounds.penner import BaseCurve, trace
 from curvebounds.pfmatrix import (
     min_positive_diagonal_power,
     primitivity_exponent,
@@ -28,6 +28,7 @@ from curvebounds.reference import (
 from curvebounds.surfaces import (
     SurfaceSig,
     flm_upper_bound,
+    penner_upper_bound,
     translation_length_lower_bound,
     translation_length_upper_bound,
 )

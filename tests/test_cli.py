@@ -731,7 +731,7 @@ finally:
 @pytest.mark.parametrize(
     "args, code, executed",
     [
-        (["bounds", "--genus-min", "2", "--genus-max", "6"], 0, {"surfaces", "penner"}),
+        (["bounds", "--genus-min", "2", "--genus-max", "6"], 0, {"surfaces"}),
         (["penner", "--genus", "4", "--json"], 0, {"surfaces", "penner"}),
         (["pf", "--input", "{matrix}"], 0, {"surfaces", "pfmatrix", "fileio", "_digraph"}),
         (["track", "--input", "{track}"], 0,

@@ -5,15 +5,9 @@ from fractions import Fraction
 import pytest
 
 from curvebounds import penner
-from curvebounds.penner import (
-    BaseCurve,
-    _closed,
-    k_star,
-    penner_upper_bound,
-    trace,
-)
+from curvebounds.penner import BaseCurve, _closed, trace
 from curvebounds.pfmatrix import min_positive_diagonal_power, primitivity_exponent
-from curvebounds.surfaces import translation_length_upper_bound
+from curvebounds.surfaces import k_star, penner_upper_bound, translation_length_upper_bound
 
 from helpers import (
     PennerSystem,
@@ -340,6 +334,24 @@ def test_trace_cap():
     assert t.best_k == 3
     with pytest.raises(ValueError):
         trace(2, cap=0)
+
+
+@pytest.mark.parametrize(
+    "genus, cap, message",
+    [
+        (2.0, None, "genus 2.0 is not an int"),
+        (True, None, "genus True is not an int"),
+        (Fraction(10), None, "genus Fraction(10, 1) is not an int"),
+        (10, 5.0, "cap 5.0 is not an int"),
+        (10, True, "cap True is not an int"),
+    ],
+)
+def test_trace_takes_ints_only(genus, cap, message):
+    """A float cap would give a float `best_k` and a `masks` that raises
+    TypeError, and True would pass as cap 1."""
+    with pytest.raises(ValueError) as info:
+        trace(genus, cap)
+    assert str(info.value) == message
 
 
 def test_checkpoint_sets_small_genus():

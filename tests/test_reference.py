@@ -151,6 +151,22 @@ def test_build_spine_refuses_bad_corners(genus, corners, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "corners, message",
+    [
+        ((1.0, 0, 0, 0, 0, 0), "corner choice 1.0 at triangle 0"),
+        ((0, 0, 0, True, 0, 0), "corner choice True at triangle 3"),
+        ((0, 0, 0, 0, 0, "2"), "corner choice '2' at triangle 5"),
+    ],
+)
+def test_build_spine_refuses_non_int_corners(corners, message):
+    """A float corner would raise TypeError from indexing, and True would
+    be corner 1."""
+    with pytest.raises(ValueError) as info:
+        build_spine(2, corners)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("genus", [2, 3, 4, 7, 30])
 def test_lemma_a_edges(genus):
     """The edges lemma A's proof reads off the corner rule: node 2t + side

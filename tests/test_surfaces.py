@@ -11,7 +11,9 @@ from curvebounds.surfaces import (
     branch_bound,
     cusp_bound,
     flm_upper_bound,
+    k_star,
     lower_bound_from_spread_time,
+    penner_upper_bound,
     punctured_genus2_upper_bound,
     real_branch_bound,
     translation_length_lower_bound,
@@ -39,6 +41,67 @@ def test_signature_rejects_negative():
         SurfaceSig(-1, 0)
     with pytest.raises(ValueError):
         SurfaceSig(0, -2)
+
+
+@pytest.mark.parametrize(
+    "genus, punctures, message",
+    [
+        (2.5, 0, "genus 2.5 is not an int"),
+        (True, 0, "genus True is not an int"),
+        (Fraction(2), 0, "genus Fraction(2, 1) is not an int"),
+        ("2", 0, "genus '2' is not an int"),
+        (2, 0.0, "punctures 0.0 is not an int"),
+        (2, False, "punctures False is not an int"),
+    ],
+)
+def test_signature_takes_ints_only(genus, punctures, message):
+    """A float genus would give a float `chi` and `cusp_bound`, and
+    SurfaceSig(True, 0) would equal SurfaceSig(1, 0)."""
+    with pytest.raises(ValueError) as info:
+        SurfaceSig(genus, punctures)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "bound, arg, message",
+    [
+        (translation_length_upper_bound, 2.0, "genus 2.0 is not an int"),
+        (translation_length_upper_bound, True, "genus True is not an int"),
+        (k_star, 4.5, "genus 4.5 is not an int"),
+        (k_star, True, "genus True is not an int"),
+        (penner_upper_bound, 2.0, "genus 2.0 is not an int"),
+        (flm_upper_bound, 2.5, "genus 2.5 is not an int"),
+        (flm_upper_bound, Fraction(5, 2), "genus Fraction(5, 2) is not an int"),
+        (punctured_genus2_upper_bound, 5.0, "punctures 5.0 is not an int"),
+        (punctured_genus2_upper_bound, True, "punctures True is not an int"),
+    ],
+)
+def test_bounds_take_ints_only(bound, arg, message):
+    with pytest.raises(ValueError) as info:
+        bound(arg)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("k", [10.0, True, Fraction(10)])
+def test_spread_time_takes_ints_only(k):
+    with pytest.raises(ValueError) as info:
+        lower_bound_from_spread_time(SurfaceSig(2, 0), k)
+    assert str(info.value) == f"spread time {k!r} is not an int"
+
+
+def test_certified_bound_is_a_surfaces_closed_form():
+    """The package's `k_star` and `penner_upper_bound` are `surfaces`'; the
+    trace module keeps only the trace."""
+    import curvebounds
+    from curvebounds import penner, surfaces
+
+    assert curvebounds.k_star is surfaces.k_star
+    assert curvebounds.penner_upper_bound is surfaces.penner_upper_bound
+    assert not {"k_star", "penner_upper_bound"} & set(vars(penner))
+    for g in range(2, 40):
+        k, bound = penner_upper_bound(g)
+        assert bound == Fraction(4, g * g + 2 * g - 3 if g % 2 else g * g + g - 2)
+        assert k == 2 / bound
 
 
 @pytest.mark.parametrize("genus,punctures", [(0, 0), (0, 3), (0, 4), (1, 0), (1, 1)])

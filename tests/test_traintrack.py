@@ -606,6 +606,28 @@ def test_add_diagonals_rejects_non_diagonals(selection, message):
     assert str(info.value) == "selection entry " + message
 
 
+@pytest.mark.parametrize(
+    "selection, message",
+    [
+        ([(0, (0.0, 2.0))], "(0, (0.0, 2.0)): cycle 0 has cusp positions 0..5"),
+        ([(0, (0, 2.0))], "(0, (0, 2.0)): cycle 0 has cusp positions 0..5"),
+        ([(0, (0, True))], "(0, (0, True)): cycle 0 has cusp positions 0..5"),
+        ([(0, ("0", 2))], "(0, ('0', 2)): cycle 0 has cusp positions 0..5"),
+        ([(0.0, (0, 2))], "(0.0, (0, 2)): no boundary cycle 0.0"),
+        ([(False, (0, 2))], "(False, (0, 2)): no boundary cycle False"),
+    ],
+    ids=["float-pair", "float-position", "bool-position", "str-position", "float-cycle",
+         "bool-cycle"],
+)
+def test_add_diagonals_rejects_non_int_entries(selection, message):
+    """A float index or position would raise TypeError from indexing, and
+    True would be read as position 1."""
+    spine = reference_spine(2)
+    with pytest.raises(TrackStructureError) as info:
+        add_diagonals(spine, boundary_cycles(spine), selection)
+    assert str(info.value) == "selection entry " + message
+
+
 def test_add_diagonals_accepts_unsorted_pairs():
     spine = reference_spine(2)
     cycles = boundary_cycles(spine)
